@@ -14,8 +14,6 @@ pub enum SimError {
     Spec(String),
     /// A checkpoint does not match the model layout or cannot be decoded.
     Checkpoint(String),
-    /// Filesystem failure while persisting or loading simulation state.
-    Io(String),
 }
 
 impl fmt::Display for SimError {
@@ -23,7 +21,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::Spec(msg) => write!(f, "invalid model spec: {msg}"),
             SimError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
-            SimError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
@@ -54,8 +51,8 @@ mod tests {
 
     #[test]
     fn string_bridge_round_trips_display() {
-        let s: String = SimError::Io("disk gone".into()).into();
-        assert_eq!(s, "io error: disk gone");
+        let s: String = SimError::Checkpoint("truncated".into()).into();
+        assert_eq!(s, "checkpoint error: truncated");
     }
 
     #[test]

@@ -290,8 +290,8 @@ impl CalibrationConfig {
 /// [`crate::persist::RunStore`].
 ///
 /// A snapshot is written after every `every_windows`-th completed window
-/// (and always after the final window, so a finished durable run can be
-/// reopened). Writes are atomic under the directory store
+/// (a batch run also parks its final window, and a stream parks its
+/// newest on `flush`, so a finished durable run can be reopened). Writes are atomic under the directory store
 /// (tmp-file + rename), and `retain` bounds how many records are kept.
 /// Persistence never changes calibration results: a persisted run, a
 /// plain run, and a killed-then-resumed run are bit-identical.
@@ -364,13 +364,6 @@ impl CheckpointPolicy {
             return Err("retain must be >= 1 when set".into());
         }
         Ok(())
-    }
-
-    /// Whether window `widx` (0-based) of a `plan_len`-window plan is
-    /// persisted under this policy. The final window always is, so a
-    /// completed durable run leaves its end state on disk.
-    pub fn persists(&self, widx: usize, plan_len: usize) -> bool {
-        (widx + 1).is_multiple_of(self.every_windows) || widx + 1 == plan_len
     }
 }
 

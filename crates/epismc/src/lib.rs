@@ -56,8 +56,6 @@ pub mod runner;
 pub mod simulator;
 pub mod sis;
 pub mod stream;
-pub mod surrogate;
-pub mod tempered;
 pub mod validate;
 pub mod window;
 
@@ -89,6 +87,4 @@ pub use sis::{
     SingleWindowIs, WindowResult,
 };
 pub use stream::StreamingCalibrator;
-pub use surrogate::SurrogateScreen;
-pub use tempered::{tempered_single_window, TemperedConfig, TemperedResult};
 pub use window::{TimeWindow, WindowPlan};

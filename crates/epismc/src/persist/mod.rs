@@ -125,14 +125,6 @@ pub struct ResumeReport {
     pub recoveries: usize,
 }
 
-/// Encode and write one snapshot, keyed by its window index.
-///
-/// # Errors
-/// [`SmcError::Persist`] on storage failure.
-pub fn save(store: &dyn RunStore, snap: &RunSnapshot) -> Result<(), SmcError> {
-    store.put(snap.window_index, &format::encode_record(snap))
-}
-
 /// Read and decode the snapshot for one window (`None` when absent).
 ///
 /// # Errors
@@ -176,25 +168,6 @@ pub fn recover_latest(store: &dyn RunStore) -> Result<(Option<RunSnapshot>, usiz
     Ok((None, skipped))
 }
 
-/// Delete all but the newest `retain` records.
-///
-/// Retention is purely index-based: it cannot tell a just-written
-/// record from a stale corpse of an abandoned longer run. Writers that
-/// know which window they just put should use [`apply_retention_after`]
-/// instead, which guarantees the fresh record survives.
-///
-/// # Errors
-/// [`SmcError::Persist`] on storage failure.
-pub fn apply_retention(store: &dyn RunStore, retain: usize) -> Result<(), SmcError> {
-    let mut windows = store.list()?;
-    windows.sort_unstable();
-    let excess = windows.len().saturating_sub(retain);
-    for &w in windows.iter().take(excess) {
-        store.delete(w)?;
-    }
-    Ok(())
-}
-
 /// Retention relative to the record just written at index `written`:
 /// first delete every record *above* `written` (the run only moves
 /// forward, so anything there is a superseded leftover of an earlier,
@@ -202,10 +175,10 @@ pub fn apply_retention(store: &dyn RunStore, retain: usize) -> Result<(), SmcErr
 /// of the rest. The `written` record is always among the survivors, so
 /// retention can never delete the newest durable state mid-append.
 ///
-/// Plain [`apply_retention`] lacks that guarantee: a stream resuming
-/// *before* a stale higher-indexed record would count the corpse toward
-/// `retain` and could delete the record it just wrote, leaving only the
-/// corpse — total data loss on the next recovery.
+/// Index-blind pruning lacks that guarantee: a stream resuming *before*
+/// a stale higher-indexed record would count the corpse toward `retain`
+/// and could delete the record it just wrote, leaving only the corpse —
+/// total data loss on the next recovery.
 ///
 /// # Errors
 /// [`SmcError::Persist`] on storage failure.
@@ -377,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_newest_records() {
-        let store = MemStore::new();
-        for w in 0..5u32 {
-            store.put(w, &[w as u8]).unwrap();
-        }
-        apply_retention(&store, 2).unwrap();
-        assert_eq!(store.list().unwrap(), vec![3, 4]);
-        // Retaining more than exists is a no-op.
-        apply_retention(&store, 10).unwrap();
-        assert_eq!(store.list().unwrap(), vec![3, 4]);
-    }
-
-    #[test]
     fn retention_after_write_preserves_the_written_record() {
         // The mid-append data-loss scenario: a stale (possibly torn)
         // record from an abandoned longer run sits *above* the window
@@ -403,7 +363,7 @@ mod tests {
         apply_retention_after(&store, 1, 2).unwrap();
         assert_eq!(store.list().unwrap(), vec![2]);
 
-        // Without stale futures it prunes exactly like apply_retention.
+        // Without stale futures it keeps the newest `retain` records.
         let plain = MemStore::new();
         for w in 0..5u32 {
             plain.put(w, &[w as u8]).unwrap();

@@ -9,6 +9,11 @@
 //! structural sharing all the way down, so cloning it into the snapshot
 //! copies pointers, not trajectories.
 //!
+//! The window loop never picks a mode itself: it talks to a
+//! crate-private `Persister`, the one place the
+//! [`crate::config::PersistMode`] choice is made, which writes inline
+//! under `Sync` and through a [`SnapshotWriter`] under `Pipelined`.
+//!
 //! Protocol invariants (relied on by `tests/async_durability.rs` and
 //! documented in DESIGN.md §14):
 //!
@@ -40,6 +45,7 @@
 use std::sync::mpsc;
 use std::thread;
 
+use crate::config::{CheckpointPolicy, PersistMode};
 use crate::error::SmcError;
 
 use super::{apply_retention_after, format, RunSnapshot, RunStore};
@@ -103,20 +109,8 @@ impl<'scope> SnapshotWriter<'scope> {
                     // dead pipeline) but write nothing further.
                     continue;
                 }
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let encode_started = std::time::Instant::now();
-                let record = format::encode_record(&snap);
-                let encode_nanos = encode_started.elapsed().as_nanos() as u64;
-                let result = store.put(snap.window_index, &record).and_then(|()| {
-                    retain.map_or(Ok(()), |keep| {
-                        apply_retention_after(store, keep, snap.window_index)
-                    })
-                });
-                let event = match result {
-                    Ok(()) => Event::Done(WriteReceipt {
-                        window_index: snap.window_index,
-                        encode_nanos,
-                    }),
+                let event = match write_snapshot(store, retain, &snap) {
+                    Ok(receipt) => Event::Done(receipt),
                     Err(e) => {
                         failed = true;
                         Event::Failed(e)
@@ -203,5 +197,100 @@ impl Drop for SnapshotWriter<'_> {
         // thread::scope joins it. Without this an early calibrator error
         // would deadlock the scope on a writer still waiting for jobs.
         self.tx.take();
+    }
+}
+
+/// Encode one snapshot, put it, and apply retention relative to it —
+/// the write both persistence modes perform, inline or on the writer.
+fn write_snapshot(
+    store: &dyn RunStore,
+    retain: Option<usize>,
+    snap: &RunSnapshot,
+) -> Result<WriteReceipt, SmcError> {
+    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+    let encode_started = std::time::Instant::now();
+    let record = format::encode_record(snap);
+    let encode_nanos = encode_started.elapsed().as_nanos() as u64;
+    store.put(snap.window_index, &record)?;
+    if let Some(keep) = retain {
+        apply_retention_after(store, keep, snap.window_index)?;
+    }
+    Ok(WriteReceipt {
+        window_index: snap.window_index,
+        encode_nanos,
+    })
+}
+
+/// A window loop's persistence under a [`CheckpointPolicy`]: the one
+/// place the [`PersistMode`] choice is made. [`Self::submit`] and
+/// [`Self::finish`] report the same [`Handoff`] either way — under
+/// `Sync` the write runs inline and blocks for its full span; under
+/// `Pipelined` a [`SnapshotWriter`] takes it and only backpressure (and
+/// the final join) block.
+pub(crate) struct Persister<'scope> {
+    /// The policy's cadence ([`CheckpointPolicy::every_windows`]).
+    pub(crate) every_windows: usize,
+    sink: Sink<'scope>,
+}
+
+enum Sink<'scope> {
+    Inline {
+        store: &'scope dyn RunStore,
+        retain: Option<usize>,
+    },
+    Background(SnapshotWriter<'scope>),
+}
+
+impl<'scope> Persister<'scope> {
+    /// A persister writing to `store` under `policy`; a pipelined one
+    /// spawns its writer thread on `scope`.
+    pub(crate) fn new<'env: 'scope>(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        store: &'env dyn RunStore,
+        policy: &CheckpointPolicy,
+    ) -> Self {
+        let sink = match policy.mode {
+            PersistMode::Sync => Sink::Inline {
+                store,
+                retain: policy.retain,
+            },
+            PersistMode::Pipelined => {
+                Sink::Background(SnapshotWriter::spawn(scope, store, policy.retain))
+            }
+        };
+        Self {
+            every_windows: policy.every_windows,
+            sink,
+        }
+    }
+
+    /// Write (or hand off) one snapshot.
+    ///
+    /// # Errors
+    /// The write error (under `Pipelined`, the writer's first one).
+    pub(crate) fn submit(&mut self, snap: RunSnapshot) -> Result<Handoff, SmcError> {
+        match &mut self.sink {
+            Sink::Inline { store, retain } => {
+                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+                let started = std::time::Instant::now();
+                let receipt = write_snapshot(*store, *retain, &snap)?;
+                Ok(Handoff {
+                    blocked_nanos: started.elapsed().as_nanos() as u64,
+                    receipts: vec![receipt],
+                })
+            }
+            Sink::Background(writer) => writer.submit(snap),
+        }
+    }
+
+    /// Wait until every submitted snapshot is durable.
+    ///
+    /// # Errors
+    /// The writer's first write error.
+    pub(crate) fn finish(self) -> Result<Handoff, SmcError> {
+        match self.sink {
+            Sink::Inline { .. } => Ok(Handoff::default()),
+            Sink::Background(writer) => writer.finish(),
+        }
     }
 }

@@ -11,21 +11,25 @@
 //! calibration, so the move explores the parameter directions of the
 //! posterior while preserving each particle's stochastic identity).
 //!
-//! The proposal is the symmetric-by-construction reflected Gaussian
-//! random walk, so the acceptance ratio reduces to the likelihood ratio
-//! under the locally-flat-prior approximation the windowed scheme
-//! already makes.
+//! Both kernels run one MH pass that differs only in its proposal
+//! factor: the public [`rejuvenate`] random walk uses the diagonal
+//! factor `diag(step)`, and the calibrator's PMMH kernel
+//! ([`crate::config::RejuvenationKernel::Pmmh`]) uses the factor of the
+//! shrunk, scaled ensemble covariance `c·Σ̂`. Either proposal is a
+//! symmetric reflected Gaussian, so the pass accepts on the window
+//! likelihood ratio alone, under the locally-flat-prior approximation
+//! the windowed scheme already makes.
 
 use std::sync::Arc;
 
-use epistats::dist::Normal;
+use episim::output::SharedTrajectory;
 use epistats::linalg::{sample_mvn, shrink_covariance, Cholesky};
 use epistats::rng::StreamKey;
 use epistats::summary::covariance_matrix;
 
 use crate::config::PmmhConfig;
 use crate::error::SmcError;
-use crate::particle::ParticleEnsemble;
+use crate::particle::{Particle, ParticleEnsemble};
 use crate::prior::JitterKernel;
 use crate::runner::ParallelRunner;
 use crate::simulator::{PooledWorkspace, TrajectorySimulator, WorkspaceStats};
@@ -47,10 +51,6 @@ pub struct RejuvenationConfig {
     /// Support bounds for rho (reflection; stays inside `(0, 1)` in any
     /// case).
     pub support_rho: (f64, f64),
-    /// Likelihood tempering exponent in `(0, 1]`: the move targets
-    /// `likelihood^temper` (1 = the plain posterior; used by the
-    /// annealed sampler in [`crate::tempered`]).
-    pub temper: f64,
 }
 
 impl RejuvenationConfig {
@@ -70,9 +70,6 @@ impl RejuvenationConfig {
         }
         if !(self.step_rho.is_finite() && self.step_rho > 0.0) {
             return Err("invalid rho step".into());
-        }
-        if !(self.temper > 0.0 && self.temper <= 1.0) {
-            return Err(format!("temper = {} outside (0, 1]", self.temper));
         }
         for &(lo, hi) in self.support_theta.iter().chain([&self.support_rho]) {
             if lo >= hi {
@@ -125,8 +122,20 @@ fn reflect(mut x: f64, lo: f64, hi: f64) -> f64 {
     x
 }
 
-/// Apply a move step to every particle of `ensemble` in place, scoring
-/// proposals against `observed` on `window`.
+/// Stream tags of the public random-walk pass.
+const TAG_MOVE: u64 = 0x4E10;
+const TAG_MOVE_BIAS: u64 = 0x4E11;
+
+/// Stream tags of the PMMH pass, additionally keyed by the window index,
+/// so every window's move pass draws from its own stream and
+/// streaming-vs-batch identity holds window by window.
+const TAG_PMMH_MOVE: u64 = 0x4E12;
+const TAG_PMMH_BIAS: u64 = 0x4E13;
+
+/// Apply a random-walk move step to every particle of `ensemble` in
+/// place, scoring proposals against `observed` on `window`: the shared
+/// MH pass with the diagonal proposal factor `diag(step_theta, step_rho)`
+/// and reflection into the configured supports.
 ///
 /// Particles simulated fresh from day 0 (`origin == None`) are re-run
 /// with `run_fresh`; continued particles re-run from their stored origin
@@ -134,7 +143,8 @@ fn reflect(mut x: f64, lo: f64, hi: f64) -> f64 {
 /// acceptance; seeds never change.
 ///
 /// # Errors
-/// Propagates simulator and scoring failures, and invalid configs.
+/// [`SmcError::Config`] for an invalid configuration, plus simulator and
+/// scoring failures.
 pub fn rejuvenate<S: TrajectorySimulator>(
     simulator: &S,
     ensemble: &mut ParticleEnsemble,
@@ -143,150 +153,30 @@ pub fn rejuvenate<S: TrajectorySimulator>(
     config: &RejuvenationConfig,
     master_seed: u64,
     threads: Option<usize>,
-) -> Result<RejuvenationStats, String> {
-    let runner = ParallelRunner::from_option(threads);
-    rejuvenate_with(
+) -> Result<RejuvenationStats, SmcError> {
+    config.validate().map_err(SmcError::Config)?;
+    let steps: Vec<f64> = config
+        .step_theta
+        .iter()
+        .copied()
+        .chain([config.step_rho])
+        .collect();
+    let moves = MovePass {
+        factor: Cholesky::from_diagonal(&steps),
+        theta_bounds: config.support_theta.clone(),
+        rho_bounds: config.support_rho,
+        move_key: StreamKey::new(master_seed).absorb(TAG_MOVE),
+        bias_key: StreamKey::new(master_seed).absorb(TAG_MOVE_BIAS),
+        moves: config.moves,
+    };
+    moves.run(
         simulator,
         ensemble,
         observed,
         window,
-        config,
-        master_seed,
-        &runner,
+        &ParallelRunner::from_option(threads),
     )
 }
-
-/// Like [`rejuvenate`], but reusing a caller-owned [`ParallelRunner`] —
-/// callers that rejuvenate repeatedly (e.g. the annealed sampler) should
-/// build one runner and pass it to every pass instead of paying a pool
-/// build per call.
-///
-/// # Errors
-/// Propagates simulator and scoring failures, and invalid configs.
-#[allow(clippy::too_many_arguments)]
-pub fn rejuvenate_with<S: TrajectorySimulator>(
-    simulator: &S,
-    ensemble: &mut ParticleEnsemble,
-    observed: &ObservedData,
-    window: TimeWindow,
-    config: &RejuvenationConfig,
-    master_seed: u64,
-    runner: &ParallelRunner,
-) -> Result<RejuvenationStats, String> {
-    config.validate()?;
-    if ensemble.is_empty() {
-        return Ok(RejuvenationStats::default());
-    }
-
-    // Work on owned copies in parallel, then write back. Each worker
-    // derives its particle's streams in O(1) from counter-mode keys
-    // hoisted out of the closure (bit-identical to the old chained
-    // derivation). Like the calibration grid, the pass runs on pooled
-    // per-worker workspaces (`run_fresh_in` / `run_from_in` reuse one
-    // `SimState` and one score scratch per worker) with the observed-side
-    // likelihood preparation hoisted out and built once — results are
-    // bit-identical to the allocating path for any thread count.
-    let move_key = StreamKey::new(master_seed).absorb(0x4E10_u64);
-    let bias_key = StreamKey::new(master_seed).absorb(0x4E11_u64);
-    let prepared = PreparedObserved::build(observed, window).map_err(|e| e.to_string())?;
-    let ws_stats = Arc::new(WorkspaceStats::default());
-    let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(crate::particle::Particle, usize), String>> = runner.run_grid_pooled(
-        particles.len(),
-        1,
-        || PooledWorkspace::new(Arc::clone(&ws_stats)),
-        |ws, i, _| {
-            let mut p = particles[i].clone();
-            let mut rng = move_key.rng(i as u64);
-            let bias_seed = bias_key.derive(i as u64);
-            let (sim, scratch) = ws.parts();
-            // Current likelihood under a fixed bias draw (shared between
-            // current and proposed states so the comparison is exact in
-            // the parameters).
-            let mut current_ll = score_window_prepared(
-                &p.trajectory,
-                p.rho,
-                bias_seed,
-                observed,
-                &prepared,
-                scratch,
-            )?;
-            let mut accepted_here = 0usize;
-
-            for _ in 0..config.moves {
-                // Propose reflected-Gaussian perturbations.
-                let theta_new: Vec<f64> = p
-                    .theta
-                    .iter()
-                    .zip(&config.step_theta)
-                    .zip(&config.support_theta)
-                    .map(|((&t, &s), &(lo, hi))| {
-                        reflect(t + s * Normal::sample_standard(&mut rng), lo, hi)
-                    })
-                    .collect();
-                let (rlo, rhi) = config.support_rho;
-                let rho_new = reflect(
-                    p.rho + config.step_rho * Normal::sample_standard(&mut rng),
-                    rlo.max(1e-9),
-                    rhi.min(1.0),
-                );
-
-                // Re-simulate the window with the SAME seed.
-                let (trajectory_new, checkpoint_new) = match &p.origin {
-                    None => {
-                        let (t, ck) =
-                            simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
-                        (episim::output::SharedTrajectory::root(t), ck)
-                    }
-                    Some(origin) => {
-                        let (tail, ck) =
-                            simulator.run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
-                        // Share the (unchanged) pre-window history: only the
-                        // re-simulated window segment is fresh storage.
-                        (p.trajectory.truncated(origin.day).append(tail), ck)
-                    }
-                };
-                let proposed_ll = score_window_prepared(
-                    &trajectory_new,
-                    rho_new,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
-                let accept = proposed_ll >= current_ll
-                    || rng.next_f64() < (config.temper * (proposed_ll - current_ll)).exp();
-                if accept {
-                    p.theta = theta_new.into();
-                    p.rho = rho_new;
-                    p.trajectory = trajectory_new;
-                    p.checkpoint = crate::ckpool::share(checkpoint_new);
-                    current_ll = proposed_ll;
-                    accepted_here += 1;
-                }
-            }
-            Ok((p, accepted_here))
-        },
-    );
-
-    let mut stats = RejuvenationStats {
-        proposed: config.moves * particles.len(),
-        accepted: 0,
-    };
-    for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
-        let (p, acc) = item?;
-        *slot = p;
-        stats.accepted += acc;
-    }
-    Ok(stats)
-}
-
-/// Counter-stream tags for the PMMH pass, distinct from the generic
-/// rejuvenation tags (`0x4E10` / `0x4E11`) and additionally keyed by the
-/// window index, so every window's move pass draws from its own stream
-/// and streaming-vs-batch identity holds window by window.
-const TAG_PMMH_MOVE: u64 = 0x4E12;
-const TAG_PMMH_BIAS: u64 = 0x4E13;
 
 /// The [`crate::config::RejuvenationKernel::Pmmh`] move pass: after a
 /// window's resampling step, every posterior particle takes
@@ -296,26 +186,16 @@ const TAG_PMMH_BIAS: u64 = 0x4E13;
 /// ([`covariance_matrix`] + [`shrink_covariance`], so the factorization
 /// cannot fail even for collapsed ensembles) and `c = 2.38²/d` by
 /// default, the Roberts–Rosenthal optimal random-walk scaling.
-///
-/// "Particle-marginal" in the trajectory-oriented sense: each particle's
-/// seed is held fixed, so the re-simulated window likelihood plays the
-/// role of the (here one-replicate) marginal-likelihood estimate and the
-/// acceptance ratio reduces to the likelihood ratio, exactly as in the
-/// uniform-step [`rejuvenate_with`]. Proposals are reflected into the
-/// jitter kernels' support bounds, keeping the pass inside the same
-/// parameter box as the between-window jitter.
-///
-/// Streams derive from counter-mode keys per `(window, particle)`, so
-/// the pass is bit-identical across thread shapes and identical whether
-/// the window was computed by a batch run or a streaming append.
+/// Proposals are reflected into the jitter kernels' support bounds,
+/// keeping the pass inside the same parameter box as the between-window
+/// jitter.
 ///
 /// # Errors
 /// [`SmcError::Degenerate`] if the proposal covariance cannot be
 /// factored (not reachable for valid configs — pinned by proptest in
-/// epistats) and [`SmcError::Simulation`] for simulator/scoring
-/// failures.
+/// epistats), plus simulator and scoring failures.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
+pub(crate) fn pmmh_moves<S: TrajectorySimulator>(
     simulator: &S,
     ensemble: &mut ParticleEnsemble,
     observed: &ObservedData,
@@ -328,16 +208,10 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     runner: &ParallelRunner,
 ) -> Result<RejuvenationStats, SmcError> {
     config.validate().map_err(SmcError::Config)?;
-    if ensemble.is_empty() {
+    let Some(first) = ensemble.particles().first() else {
         return Ok(RejuvenationStats::default());
-    }
-    let theta_dim = ensemble.particles()[0].theta.len();
-    if theta_dim != jitter_theta.len() {
-        return Err(SmcError::Config(format!(
-            "pmmh: ensemble theta dimension {theta_dim} != jitter dimension {}",
-            jitter_theta.len()
-        )));
-    }
+    };
+    let theta_dim = first.theta.len();
     let d = theta_dim + 1; // theta coordinates plus rho
 
     // Empirical covariance of the posterior in (θ, ρ), shrunk to SPD and
@@ -350,102 +224,161 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     let shrunk = shrink_covariance(&cov, d, config.shrinkage, config.floor);
     let c = config.scale_for(d);
     let scaled: Vec<f64> = shrunk.iter().map(|&v| c * v).collect();
-    let chol = Cholesky::new(&scaled, d)
+    let factor = Cholesky::new(&scaled, d)
         .map_err(|e| SmcError::Degenerate(format!("pmmh proposal covariance: {e}")))?;
 
-    let move_key = StreamKey::new(master_seed)
-        .absorb(TAG_PMMH_MOVE)
-        .absorb(window_index as u64);
-    let bias_key = StreamKey::new(master_seed)
-        .absorb(TAG_PMMH_BIAS)
-        .absorb(window_index as u64);
-    let prepared = PreparedObserved::build(observed, window)?;
-    let zeros = vec![0.0f64; d];
-    let ws_stats = Arc::new(WorkspaceStats::default());
-    let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(crate::particle::Particle, usize), String>> = runner.run_grid_pooled(
-        particles.len(),
-        1,
-        || PooledWorkspace::new(Arc::clone(&ws_stats)),
-        |ws, i, _| {
-            let mut p = particles[i].clone();
-            let mut rng = move_key.rng(i as u64);
-            let bias_seed = bias_key.derive(i as u64);
-            let (sim, scratch) = ws.parts();
-            let mut current_ll = score_window_prepared(
-                &p.trajectory,
-                p.rho,
-                bias_seed,
-                observed,
-                &prepared,
-                scratch,
-            )?;
-            let mut accepted_here = 0usize;
+    let moves = MovePass {
+        factor,
+        theta_bounds: jitter_theta.iter().map(|k| (k.lo, k.hi)).collect(),
+        rho_bounds: (jitter_rho.lo, jitter_rho.hi),
+        move_key: StreamKey::new(master_seed)
+            .absorb(TAG_PMMH_MOVE)
+            .absorb(window_index as u64),
+        bias_key: StreamKey::new(master_seed)
+            .absorb(TAG_PMMH_BIAS)
+            .absorb(window_index as u64),
+        moves: config.moves,
+    };
+    moves.run(simulator, ensemble, observed, window, runner)
+}
 
-            for _ in 0..config.moves {
-                // One correlated Gaussian step for all of (θ, ρ): exactly
-                // d standard-normal draws regardless of covariance, so
-                // the stream layout is shape-independent.
-                let delta = sample_mvn(&chol, &zeros, &mut rng);
-                let theta_new: Vec<f64> = p
-                    .theta
-                    .iter()
-                    .zip(&delta)
-                    .zip(jitter_theta)
-                    .map(|((&t, &dx), k)| reflect(t + dx, k.lo, k.hi))
-                    .collect();
-                let rho_new = reflect(
-                    p.rho + delta[theta_dim],
-                    jitter_rho.lo.max(1e-9),
-                    jitter_rho.hi.min(1.0),
-                );
+/// One Metropolis–Hastings move pass: the proposal, the reflection box,
+/// and the counter streams it draws from.
+struct MovePass {
+    /// Lower Cholesky factor of the joint `(θ, ρ)` proposal covariance.
+    factor: Cholesky,
+    /// Reflection bounds per theta coordinate.
+    theta_bounds: Vec<(f64, f64)>,
+    /// Reflection bounds for rho (further clamped into `(0, 1]`).
+    rho_bounds: (f64, f64),
+    /// Per-particle proposal/accept streams (`rng(particle)`).
+    move_key: StreamKey,
+    /// Per-particle bias-draw seeds (`derive(particle)`).
+    bias_key: StreamKey,
+    /// MH steps per particle.
+    moves: usize,
+}
 
-                // Re-simulate the window with the SAME seed.
-                let (trajectory_new, checkpoint_new) = match &p.origin {
-                    None => {
-                        let (t, ck) =
-                            simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
-                        (episim::output::SharedTrajectory::root(t), ck)
-                    }
-                    Some(origin) => {
-                        let (tail, ck) =
-                            simulator.run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
-                        (p.trajectory.truncated(origin.day).append(tail), ck)
-                    }
-                };
-                let proposed_ll = score_window_prepared(
-                    &trajectory_new,
-                    rho_new,
+impl MovePass {
+    /// Move every particle of `ensemble` in place: each proposes
+    /// `(θ, ρ) + L z` with exactly `d` standard-normal draws in
+    /// coordinate order (so the stream layout never depends on the
+    /// covariance), reflects into the bounds, re-simulates its window
+    /// from its origin under its own seed, and accepts on the window
+    /// likelihood ratio with one uniform draw.
+    ///
+    /// Each particle's streams derive in O(1) from the counter keys, and
+    /// the pass runs on pooled per-worker workspaces with the
+    /// observed-side preparation built once, so results are
+    /// bit-identical for any thread count.
+    fn run<S: TrajectorySimulator>(
+        &self,
+        simulator: &S,
+        ensemble: &mut ParticleEnsemble,
+        observed: &ObservedData,
+        window: TimeWindow,
+        runner: &ParallelRunner,
+    ) -> Result<RejuvenationStats, SmcError> {
+        let particles: Vec<Particle> = ensemble.particles().to_vec();
+        let theta_dim = self.theta_bounds.len();
+        if let Some(p) = particles.first() {
+            if p.theta.len() != theta_dim || self.factor.dim() != theta_dim + 1 {
+                return Err(SmcError::Config(format!(
+                    "move pass: ensemble theta dimension {} != proposal theta dimension \
+                     {theta_dim} (factor dimension {})",
+                    p.theta.len(),
+                    self.factor.dim()
+                )));
+            }
+        }
+        let (rlo, rhi) = self.rho_bounds;
+        let (rlo, rhi) = (rlo.max(1e-9), rhi.min(1.0));
+        let prepared = PreparedObserved::build(observed, window)?;
+        let zeros = vec![0.0f64; theta_dim + 1];
+        let ws_stats = Arc::new(WorkspaceStats::default());
+        let moved: Vec<Result<(Particle, usize), SmcError>> = runner.run_grid_pooled(
+            particles.len(),
+            1,
+            || PooledWorkspace::new(Arc::clone(&ws_stats)),
+            |ws, i, _| {
+                let mut p = particles[i].clone();
+                let mut rng = self.move_key.rng(i as u64);
+                let bias_seed = self.bias_key.derive(i as u64);
+                let (sim, scratch) = ws.parts();
+                // Current likelihood under a fixed bias draw (shared
+                // between current and proposed states so the comparison
+                // is exact in the parameters).
+                let mut current_ll = score_window_prepared(
+                    &p.trajectory,
+                    p.rho,
                     bias_seed,
                     observed,
                     &prepared,
                     scratch,
                 )?;
-                let accept =
-                    proposed_ll >= current_ll || rng.next_f64() < (proposed_ll - current_ll).exp();
-                if accept {
-                    p.theta = theta_new.into();
-                    p.rho = rho_new;
-                    p.trajectory = trajectory_new;
-                    p.checkpoint = crate::ckpool::share(checkpoint_new);
-                    current_ll = proposed_ll;
-                    accepted_here += 1;
-                }
-            }
-            Ok((p, accepted_here))
-        },
-    );
+                let mut accepted_here = 0usize;
 
-    let mut stats = RejuvenationStats {
-        proposed: config.moves * particles.len(),
-        accepted: 0,
-    };
-    for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
-        let (p, acc) = item.map_err(SmcError::Simulation)?;
-        *slot = p;
-        stats.accepted += acc;
+                for _ in 0..self.moves {
+                    let delta = sample_mvn(&self.factor, &zeros, &mut rng);
+                    let theta_new: Vec<f64> = p
+                        .theta
+                        .iter()
+                        .zip(&delta)
+                        .zip(&self.theta_bounds)
+                        .map(|((&t, &dx), &(lo, hi))| reflect(t + dx, lo, hi))
+                        .collect();
+                    let rho_new = reflect(p.rho + delta[theta_dim], rlo, rhi);
+
+                    // Re-simulate the window with the SAME seed.
+                    let (trajectory_new, checkpoint_new) = match &p.origin {
+                        None => {
+                            let (t, ck) =
+                                simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
+                            (SharedTrajectory::root(t), ck)
+                        }
+                        Some(origin) => {
+                            let (tail, ck) = simulator
+                                .run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
+                            // Share the (unchanged) pre-window history:
+                            // only the re-simulated window segment is
+                            // fresh storage.
+                            (p.trajectory.truncated(origin.day).append(tail), ck)
+                        }
+                    };
+                    let proposed_ll = score_window_prepared(
+                        &trajectory_new,
+                        rho_new,
+                        bias_seed,
+                        observed,
+                        &prepared,
+                        scratch,
+                    )?;
+                    let accept = proposed_ll >= current_ll
+                        || rng.next_f64() < (proposed_ll - current_ll).exp();
+                    if accept {
+                        p.theta = theta_new.into();
+                        p.rho = rho_new;
+                        p.trajectory = trajectory_new;
+                        p.checkpoint = crate::ckpool::share(checkpoint_new);
+                        current_ll = proposed_ll;
+                        accepted_here += 1;
+                    }
+                }
+                Ok((p, accepted_here))
+            },
+        );
+
+        let mut stats = RejuvenationStats {
+            proposed: self.moves * particles.len(),
+            accepted: 0,
+        };
+        for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
+            let (p, acc) = item?;
+            *slot = p;
+            stats.accepted += acc;
+        }
+        Ok(stats)
     }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -464,7 +397,6 @@ mod tests {
             step_rho: 0.03,
             support_theta: vec![(0.05, 1.0)],
             support_rho: (0.05, 1.0),
-            temper: 1.0,
         }
     }
 
@@ -607,37 +539,5 @@ mod tests {
         .unwrap();
         assert_eq!(stats.proposed, 0);
         assert_eq!(stats.acceptance_rate(), 0.0);
-    }
-
-    #[test]
-    fn rejuvenation_with_shared_runner_matches_per_call_runners() {
-        let (sim, posterior, observed, window) = calibrated();
-        let mut a = posterior.clone();
-        let mut b = posterior.clone();
-        let runner = ParallelRunner::with_threads(2);
-        rejuvenate_with(
-            &sim,
-            &mut a,
-            &observed,
-            window,
-            &default_config(),
-            7,
-            &runner,
-        )
-        .unwrap();
-        rejuvenate(
-            &sim,
-            &mut b,
-            &observed,
-            window,
-            &default_config(),
-            7,
-            Some(1),
-        )
-        .unwrap();
-        let fp = |e: &ParticleEnsemble| -> Vec<u64> {
-            e.particles().iter().map(|p| p.theta[0].to_bits()).collect()
-        };
-        assert_eq!(fp(&a), fp(&b));
     }
 }

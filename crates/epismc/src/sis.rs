@@ -12,7 +12,10 @@
 //! by the incremental likelihood of the new data only (the conditional
 //! decomposition of Section IV-C.2). This is what the paper's
 //! checkpointing machinery buys: window `m` costs only window-`m`
-//! simulation days, never a replay from day zero.
+//! simulation days, never a replay from day zero. Its window loop is the
+//! one streaming uses too ([`crate::stream`]): a batch run is a stream
+//! over the plan's windows. Algorithm 1 and every sequential window
+//! simulate through one grid function.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,15 +25,17 @@ use epistats::rng::{StreamKey, Xoshiro256PlusPlus};
 use epistats::summary::ess;
 
 use crate::ckpool;
-use crate::config::{CalibrationConfig, CheckpointPolicy, PersistMode};
+use crate::config::{CalibrationConfig, CheckpointPolicy};
 use crate::error::SmcError;
 use crate::likelihood::{CompositeLikelihood, GaussianSqrtLikelihood, Likelihood};
 use crate::observation::{BiasMode, BiasModel, BinomialBias, IdentityBias};
 use crate::particle::{Particle, ParticleEnsemble};
-use crate::persist::{self, ResumeReport, RunSnapshot, RunStore, SnapshotWriter};
+use crate::persist::writer::Persister;
+use crate::persist::{self, ResumeReport, RunStore};
 use crate::prior::{JitterKernel, Prior};
 use crate::runner::ParallelRunner;
 use crate::simulator::{PooledWorkspace, TrajectorySimulator, WorkspaceStats};
+use crate::stream::WindowLoop;
 use crate::window::{TimeWindow, WindowPlan};
 
 use episim::output::SharedTrajectory;
@@ -246,9 +251,10 @@ pub struct TrajectoryTelemetry {
     /// [`crate::config::PersistMode::Sync`] that is the full encode +
     /// write + retention span; under
     /// [`crate::config::PersistMode::Pipelined`] it is only the
-    /// backpressure wait at the handoff, and the run's final window
-    /// additionally absorbs the writer join (whether or not that window
-    /// was itself persisted). Otherwise 0 for unpersisted windows;
+    /// backpressure wait at the handoff, and the newest window of each
+    /// persisting call (a batch run, or one stream append) additionally
+    /// absorbs the writer join (whether or not that window was itself
+    /// persisted). Otherwise 0 for unpersisted windows;
     /// inherently nondeterministic — diagnostics only, zeroed inside
     /// the persisted record itself so snapshots stay byte-reproducible.
     pub persist_nanos: u64,
@@ -674,6 +680,11 @@ pub fn score_window_prepared(
 /// stream at O(1) alias work per draw) stay serial — `resample_nanos`
 /// keeps that cost visible, and the parallel spans are subtracted from
 /// `serial_nanos` so the telemetry reports the true Amdahl fraction.
+///
+/// # Errors
+/// [`SmcError::Degenerate`] when every candidate's log weight is `-∞`:
+/// no trajectory is compatible with the window's data, so the weights
+/// (and any resample drawn from them) are undefined.
 #[allow(clippy::too_many_arguments)]
 fn finalize_window(
     window: TimeWindow,
@@ -684,16 +695,28 @@ fn finalize_window(
     started: std::time::Instant,
     acct: WindowAccounting,
     ws_stats: &WorkspaceStats,
-) -> WindowResult {
+) -> Result<WindowResult, SmcError> {
     let ensemble = ParticleEnsemble::from_vec(candidates);
+    let log_w: Vec<f64> = ensemble.particles().iter().map(|p| p.log_weight).collect();
+    if log_w
+        .iter()
+        .all(|w| w.is_infinite() && w.is_sign_negative())
+    {
+        return Err(SmcError::Degenerate(format!(
+            "window [{}, {}]: all {} candidates have log weight -inf; no simulated \
+             trajectory is compatible with the observed data",
+            window.start,
+            window.end,
+            log_w.len()
+        )));
+    }
+    let log_marginal = log_mean_exp(&log_w);
     let mut parallel_nanos = 0u64;
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let weights_started = std::time::Instant::now();
     let weights = ensemble.normalized_weights_par(runner);
     parallel_nanos += weights_started.elapsed().as_nanos() as u64;
     let window_ess = ess(&weights);
-    let log_w: Vec<f64> = ensemble.particles().iter().map(|p| p.log_weight).collect();
-    let log_marginal = log_mean_exp(&log_w);
 
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let resample_started = std::time::Instant::now();
@@ -729,7 +752,7 @@ fn finalize_window(
         .saturating_sub(acct.grid_nanos)
         .saturating_sub(parallel_nanos);
 
-    WindowResult {
+    Ok(WindowResult {
         window,
         posterior,
         prior_ensemble: if config.keep_prior_ensemble {
@@ -744,7 +767,7 @@ fn finalize_window(
         wall_time: started.elapsed(),
         telemetry,
         rejuvenation: None,
-    }
+    })
 }
 
 /// One proposed parameter tuple, optionally anchored to an ancestor
@@ -827,69 +850,33 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
 
         // Draw parameter tuples from the prior. Each theta is shared
         // across the tuple's replicates — particles take Arc bumps.
-        let tuples: Vec<(Arc<[f64]>, f64)> = (0..cfg.n_params)
-            .map(|_| {
-                let theta: Arc<[f64]> = priors.theta.iter().map(|p| p.sample(&mut rng)).collect();
-                let rho = priors.rho.sample(&mut rng);
-                (theta, rho)
+        let proposals: Vec<Proposal> = (0..cfg.n_params)
+            .map(|_| Proposal {
+                ancestor: 0,
+                theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
+                rho: priors.rho.sample(&mut rng),
             })
             .collect();
-
-        // Counter-mode stream keys: each worker derives its cell's seeds
-        // in O(1) from a shared absorbed prefix — nothing per-cell is
-        // precomputed serially. Common random numbers hold by layout:
-        // the simulation counter is the replicate index alone, so
-        // replicate r shares its seed across all parameter tuples
-        // (Section V-B).
-        let sim_key = StreamKey::new(cfg.seed).absorb(TAG_SIM_SEED);
-        let bias_key = StreamKey::new(cfg.seed).absorb(TAG_BIAS);
-        // Observed-side likelihood preparation (e.g. sqrt of the data),
-        // hoisted out of the per-particle scoring loop: built once here,
-        // shared read-only by every grid worker.
-        let prepared = PreparedObserved::build(observed, window)?;
         let stream_setup_nanos = started.elapsed().as_nanos() as u64;
 
         let runner = &self.runner;
         let ws_stats = Arc::new(WorkspaceStats::default());
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
         let grid_started = std::time::Instant::now();
-        let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
-            cfg.n_params,
+        // Un-windowed keys: the seed absorbs only the stream tag.
+        let candidates = simulate_grid(
+            self.simulator,
+            runner,
             cfg.n_replicates,
-            || PooledWorkspace::new(Arc::clone(&ws_stats)),
-            |ws, i, r| {
-                let (theta, rho) = &tuples[i];
-                let (sim, scratch) = ws.parts();
-                let sim_seed = sim_key.derive(r as u64);
-                let (trajectory, checkpoint) = self
-                    .simulator
-                    .run_fresh_in(sim, theta, sim_seed, window.end)?;
-                let trajectory = SharedTrajectory::root(trajectory);
-                let bias_seed = bias_key.derive2(i as u64, r as u64);
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let score_started = std::time::Instant::now();
-                let log_weight = score_window_prepared(
-                    &trajectory,
-                    *rho,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
-                ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
-                Ok(Particle {
-                    theta: Arc::clone(theta),
-                    rho: *rho,
-                    seed: sim_seed,
-                    log_weight,
-                    trajectory,
-                    checkpoint: ckpool::share(checkpoint),
-                    origin: None,
-                })
-            },
-        );
+            StreamKey::new(cfg.seed).absorb(TAG_SIM_SEED),
+            StreamKey::new(cfg.seed).absorb(TAG_BIAS),
+            &proposals,
+            None,
+            observed,
+            window,
+            &ws_stats,
+        )?;
         let grid_nanos = grid_started.elapsed().as_nanos() as u64;
-        let candidates: Vec<Particle> = results.into_iter().collect::<Result<_, _>>()?;
         // The driver's pre-built pool is charged to the first window that
         // uses it — later runs on the same driver report 0.
         let acct = WindowAccounting {
@@ -899,9 +886,9 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             stream_setup_nanos,
             grid_nanos,
         };
-        Ok(finalize_window(
+        finalize_window(
             window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-        ))
+        )
     }
 }
 
@@ -1038,32 +1025,32 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         Ok(self)
     }
 
-    /// Run the full windowed calibration.
+    /// Run the full windowed calibration: the window loop over the
+    /// plan, with no store.
     ///
     /// # Errors
-    /// Propagates simulator failures, dimension mismatches, and coverage
-    /// errors.
+    /// Propagates simulator failures, dimension mismatches, coverage
+    /// errors, and [`SmcError::Degenerate`] for a window no candidate
+    /// trajectory is compatible with.
     pub fn run(
         &self,
         priors: &Priors,
         observed: &ObservedData,
         plan: &WindowPlan,
     ) -> Result<CalibrationResult, SmcError> {
-        self.run_windows(priors, observed, plan, None, None, 0)
+        let state = WindowLoop::new(self, priors)?;
+        self.drive(state, priors, observed, plan, None)
     }
 
-    /// [`Self::run`] with durability: after each window the policy
-    /// selects, the complete calibration state is snapshotted into
-    /// `store` (see [`crate::persist`]). Persistence never changes
-    /// results — the returned [`CalibrationResult`] is bit-identical to
-    /// a plain [`Self::run`] on every deterministic field.
-    ///
-    /// Under [`PersistMode::Sync`] each snapshot is written on the window
-    /// loop before the next window starts; under the default
-    /// [`PersistMode::Pipelined`] it is handed to a background
-    /// [`SnapshotWriter`] and the next window overlaps the encode +
-    /// fsync. Both modes write records in window order and leave the
-    /// same durable prefix behind on failure.
+    /// [`Self::run`] with durability: a fresh stream over the plan's
+    /// windows (the store is not read first). After each window the
+    /// policy's cadence selects, and after the final window, the
+    /// complete calibration state is snapshotted into `store` (see
+    /// [`crate::persist`]). Persistence never changes results — the
+    /// returned [`CalibrationResult`] is bit-identical to a plain
+    /// [`Self::run`] on every deterministic field — and both
+    /// [`crate::config::PersistMode`]s write records in window order and
+    /// leave the same durable prefix behind on failure.
     ///
     /// # Errors
     /// Everything [`Self::run`] returns, plus [`SmcError::Persist`] when
@@ -1079,13 +1066,16 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         policy: &CheckpointPolicy,
     ) -> Result<CalibrationResult, SmcError> {
         policy.validate().map_err(SmcError::Config)?;
-        self.run_windows(priors, observed, plan, Some((store, policy)), None, 0)
+        let state = WindowLoop::new(self, priors)?;
+        self.drive(state, priors, observed, plan, Some((store, policy)))
     }
 
     /// Resume a killed [`Self::run_persisted`] campaign from its store:
-    /// recover the newest decodable snapshot (skipping corrupt or
-    /// unsupported records, counted in [`ResumeReport::recoveries`]),
-    /// rebuild its window result, and continue the remaining windows —
+    /// reopen it exactly like [`crate::stream::StreamingCalibrator::open`]
+    /// does (newest decodable snapshot, corrupt or unsupported records
+    /// skipped and counted in [`ResumeReport::recoveries`], seed /
+    /// fingerprint / observed-data validation), check the restored
+    /// window belongs to `plan`, and continue the remaining windows —
     /// persisting along the way under the same policy.
     ///
     /// Every window's RNG stream derives independently from the master
@@ -1096,8 +1086,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     /// # Errors
     /// [`SmcError::Persist`] when no usable snapshot exists or the
     /// snapshot belongs to a differently configured run (seed /
-    /// fingerprint / plan mismatch), plus everything [`Self::run`]
-    /// returns.
+    /// fingerprint / observed data / plan mismatch), plus everything
+    /// [`Self::run`] returns.
     pub fn resume_from(
         &self,
         priors: &Priors,
@@ -1107,67 +1097,45 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         policy: &CheckpointPolicy,
     ) -> Result<CalibrationResult, SmcError> {
         policy.validate().map_err(SmcError::Config)?;
-        let (snap, recoveries) = persist::recover_latest(store)?;
-        let Some(snap) = snap else {
+        let state = WindowLoop::recover(self, priors, observed, store)?;
+        let Some(restored) = state.history.last() else {
             return Err(SmcError::Persist(
                 "no usable snapshot in the run store; nothing to resume".into(),
             ));
         };
-        if snap.seed != self.config.seed {
+        let widx = state.next - 1;
+        if plan.windows().get(widx) != Some(&restored.window) {
             return Err(SmcError::Persist(format!(
-                "snapshot was written with seed {}, this run uses seed {}",
-                snap.seed, self.config.seed
+                "snapshot window {widx} (days [{}, {}]) is not window {widx} of this plan",
+                restored.window.start, restored.window.end
             )));
         }
-        let fingerprint = self.fingerprint();
-        if snap.fingerprint != fingerprint {
-            return Err(SmcError::Persist(format!(
-                "snapshot fingerprint {:#018x} does not match this calibration's {fingerprint:#018x}",
-                snap.fingerprint
-            )));
-        }
-        let widx = snap.window_index as usize;
-        let matches_plan = plan.windows().get(widx).is_some_and(|&w| w == snap.window);
-        if !matches_plan {
-            return Err(SmcError::Persist(format!(
-                "snapshot window {} (days [{}, {}]) is not window {} of this plan",
-                snap.window_index, snap.window.start, snap.window.end, snap.window_index
-            )));
-        }
-        // v5 records carry a fingerprint of the observed slice they were
-        // scored against; refuse to resume against different data. The
-        // 0 sentinel (pre-v5 records) skips the check.
-        if snap.observed_fingerprint != 0 {
-            if let Some(fp) = persist::observed_fingerprint(observed, snap.window) {
-                if fp != snap.observed_fingerprint {
-                    return Err(SmcError::Persist(format!(
-                        "snapshot for window {} was scored against different observed \
-                         data (fingerprint {:#018x}, this run's data gives {fp:#018x})",
-                        snap.window_index, snap.observed_fingerprint
-                    )));
-                }
+        self.drive(state, priors, observed, plan, Some((store, policy)))
+    }
+
+    /// The batch stream behind every entry point: advance `state` over
+    /// the rest of the plan, then park the final window. One persister
+    /// serves the whole plan, so a pipelined writer hides persistence
+    /// behind every window's grid.
+    fn drive(
+        &self,
+        mut state: WindowLoop,
+        priors: &Priors,
+        observed: &ObservedData,
+        plan: &WindowPlan,
+        durable: Option<(&dyn RunStore, &CheckpointPolicy)>,
+    ) -> Result<CalibrationResult, SmcError> {
+        std::thread::scope(|scope| {
+            let mut persister = durable.map(|(store, policy)| Persister::new(scope, store, policy));
+            for &window in plan.windows().get(state.next..).unwrap_or(&[]) {
+                state.advance(self, priors, observed, window, persister.as_mut())?;
             }
-        }
-        let restored = WindowResult {
-            window: snap.window,
-            posterior: snap.posterior,
-            prior_ensemble: None,
-            ess: snap.ess,
-            log_marginal: snap.log_marginal,
-            unique_ancestors: snap.unique_ancestors as usize,
-            iterations: snap.iterations as usize,
-            wall_time: Duration::from_nanos(snap.wall_nanos),
-            telemetry: snap.telemetry,
-            rejuvenation: None,
-        };
-        self.run_windows(
-            priors,
-            observed,
-            plan,
-            Some((store, policy)),
-            Some((widx, restored)),
-            recoveries,
-        )
+            if let Some(mut persister) = persister {
+                state.park(self, observed, &mut persister)?;
+                state.finish(persister)?;
+            }
+            Ok(state.into_result())
+        })
     }
 
     /// The configuration fingerprint stamped into every snapshot this
@@ -1182,8 +1150,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     }
 
     /// Check the jitter kernels and priors against the simulator's
-    /// parameter dimension (shared by the batch loop and the streaming
-    /// calibrator's open).
+    /// parameter dimension.
     pub(crate) fn validate_dims(&self, priors: &Priors) -> Result<(), SmcError> {
         if self.jitter_theta.len() != self.simulator.theta_dim() {
             return Err(SmcError::Config(format!(
@@ -1227,66 +1194,45 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     ) -> Result<WindowResult, SmcError> {
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
         let setup_started = std::time::Instant::now();
-        let mut result = match prev {
-            None => {
+        let mut rng = Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
+        let proposals: Vec<Proposal> = (0..self.config.n_params)
+            .map(|_| match prev {
                 // Window 1: Algorithm 1 from the prior (with optional
                 // adaptive refinement over fresh runs).
-                let mut rng =
-                    Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
-                let proposals: Vec<Proposal> = (0..self.config.n_params)
-                    .map(|_| Proposal {
-                        ancestor: 0,
-                        theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
-                        rho: priors.rho.sample(&mut rng),
-                    })
-                    .collect();
-                let setup_nanos = setup_started.elapsed().as_nanos() as u64;
-                self.adaptive_window(
-                    runner,
-                    observed,
-                    window,
-                    widx,
-                    None,
-                    proposals,
-                    rng,
-                    setup_nanos,
-                )?
-            }
-            Some(ancestors) => {
-                let mut rng =
-                    Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
-                let n_anc = ancestors.len() as u64;
-                let proposals: Vec<Proposal> = (0..self.config.n_params)
-                    .map(|_| {
-                        let a = rng.next_bounded(n_anc) as usize;
-                        let anc = &ancestors.particles()[a];
-                        Proposal {
-                            ancestor: a,
-                            theta: anc
-                                .theta
-                                .iter()
-                                .zip(&self.jitter_theta)
-                                .map(|(&t, k)| k.sample(t, &mut rng))
-                                .collect::<Arc<[f64]>>(),
-                            rho: self.jitter_rho.sample(anc.rho, &mut rng),
-                        }
-                    })
-                    .collect();
-                let setup_nanos = setup_started.elapsed().as_nanos() as u64;
-                self.adaptive_window(
-                    runner,
-                    observed,
-                    window,
-                    widx,
-                    Some(ancestors),
-                    proposals,
-                    rng,
-                    setup_nanos,
-                )?
-            }
-        };
+                None => Proposal {
+                    ancestor: 0,
+                    theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
+                    rho: priors.rho.sample(&mut rng),
+                },
+                Some(ancestors) => {
+                    let a = rng.next_bounded(ancestors.len() as u64) as usize;
+                    let anc = &ancestors.particles()[a];
+                    Proposal {
+                        ancestor: a,
+                        theta: anc
+                            .theta
+                            .iter()
+                            .zip(&self.jitter_theta)
+                            .map(|(&t, k)| k.sample(t, &mut rng))
+                            .collect(),
+                        rho: self.jitter_rho.sample(anc.rho, &mut rng),
+                    }
+                }
+            })
+            .collect();
+        let setup_nanos = setup_started.elapsed().as_nanos() as u64;
+        let mut result = self.adaptive_window(
+            runner,
+            observed,
+            window,
+            widx,
+            prev,
+            proposals,
+            rng,
+            setup_nanos,
+        )?;
         if let crate::config::RejuvenationKernel::Pmmh(pmmh) = &self.config.rejuvenation {
-            let stats = crate::rejuvenate::pmmh_rejuvenate_window(
+            let stats = crate::rejuvenate::pmmh_moves(
                 self.simulator,
                 &mut result.posterior,
                 observed,
@@ -1301,151 +1247,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             result.rejuvenation = Some(stats);
         }
         Ok(result)
-    }
-
-    /// Build the snapshot persisted for window `widx`, marking the
-    /// record in the result's telemetry. The snapshot carries the
-    /// telemetry with `persist_nanos` and `encode_nanos` still 0: both
-    /// are measured around (or after) the write itself, and zeroing
-    /// them keeps records byte-reproducible across runs and modes.
-    pub(crate) fn snapshot_for(
-        &self,
-        fingerprint: u64,
-        observed: &ObservedData,
-        widx: usize,
-        result: &mut WindowResult,
-    ) -> RunSnapshot {
-        result.telemetry.records_written = 1;
-        RunSnapshot {
-            seed: self.config.seed,
-            fingerprint,
-            window_index: widx as u32,
-            window: result.window,
-            ess: result.ess,
-            log_marginal: result.log_marginal,
-            unique_ancestors: result.unique_ancestors as u64,
-            iterations: result.iterations as u64,
-            wall_nanos: result.wall_time.as_nanos() as u64,
-            observed_fingerprint: persist::observed_fingerprint(observed, result.window)
-                .unwrap_or(0),
-            telemetry: result.telemetry,
-            posterior: result.posterior.clone(),
-        }
-    }
-
-    /// The shared windowed loop behind [`Self::run`],
-    /// [`Self::run_persisted`], and [`Self::resume_from`]: optionally
-    /// seeded with a restored window, optionally snapshotting after each
-    /// window the policy selects.
-    fn run_windows(
-        &self,
-        priors: &Priors,
-        observed: &ObservedData,
-        plan: &WindowPlan,
-        persist_to: Option<(&dyn RunStore, &CheckpointPolicy)>,
-        restored: Option<(usize, WindowResult)>,
-        recoveries: usize,
-    ) -> Result<CalibrationResult, SmcError> {
-        self.validate_dims(priors)?;
-        // One runner — and therefore at most one dedicated pool — for the
-        // whole calibration run, hoisted out of the per-window (and
-        // per-adaptive-iteration) batch loop.
-        let runner = ParallelRunner::from_option(self.config.threads)
-            .with_chunk_cells(self.config.chunk_cells);
-        let fingerprint = self.fingerprint();
-        let mut windows: Vec<WindowResult> = Vec::with_capacity(plan.len());
-        let resume = restored.as_ref().map(|(widx, _)| ResumeReport {
-            resumed_window: *widx as u32,
-            recoveries,
-        });
-        // Plan index of `windows[0]`: background write receipts arrive
-        // keyed by plan window index and are mapped back through it.
-        let windows_base = match &restored {
-            Some((widx, _)) => *widx,
-            None => 0,
-        };
-        let first = match restored {
-            Some((widx, result)) => {
-                windows.push(result);
-                widx + 1
-            }
-            None => 0,
-        };
-
-        // The writer thread (pipelined persistence only) borrows the
-        // caller's store for the duration of this scope; every exit path
-        // — including early `?` returns, which drop the writer handle
-        // and thereby close its queue — joins it before returning.
-        std::thread::scope(|scope| {
-            let mut writer = match persist_to {
-                Some((store, policy)) if policy.mode == PersistMode::Pipelined => {
-                    Some(SnapshotWriter::spawn(scope, store, policy.retain))
-                }
-                _ => None,
-            };
-
-            for widx in first..plan.len() {
-                let window = plan.windows()[widx];
-                let prev = windows.last().map(|r| &r.posterior);
-                let mut result =
-                    self.compute_window(&runner, priors, observed, window, widx, prev)?;
-                if let Some((store, policy)) = persist_to {
-                    if policy.persists(widx, plan.len()) {
-                        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                        let persist_started = std::time::Instant::now();
-                        let snap = self.snapshot_for(fingerprint, observed, widx, &mut result);
-                        match writer.as_mut() {
-                            // Pipelined: O(1) handoff (the posterior clone
-                            // above is Arc structural sharing), then the
-                            // next window starts while encode + fsync run
-                            // on the writer thread. Only backpressure
-                            // blocks the loop.
-                            Some(w) => {
-                                let handoff = w.submit(snap)?;
-                                result.telemetry.persist_nanos = handoff.blocked_nanos;
-                                for receipt in handoff.receipts {
-                                    let k = receipt.window_index as usize - windows_base;
-                                    windows[k].telemetry.encode_nanos = receipt.encode_nanos;
-                                }
-                            }
-                            // Sync: encode + write + retention on the loop,
-                            // with the encode split out of the blocking
-                            // total so the two modes report comparable
-                            // telemetry.
-                            None => {
-                                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                                let encode_started = std::time::Instant::now();
-                                let record = persist::format::encode_record(&snap);
-                                result.telemetry.encode_nanos =
-                                    encode_started.elapsed().as_nanos() as u64;
-                                store.put(widx as u32, &record)?;
-                                if let Some(retain) = policy.retain {
-                                    persist::apply_retention_after(store, retain, widx as u32)?;
-                                }
-                                result.telemetry.persist_nanos =
-                                    persist_started.elapsed().as_nanos() as u64;
-                            }
-                        }
-                    }
-                }
-                windows.push(result);
-            }
-
-            // Drain the pipeline: wait for every outstanding background
-            // write, surface its first error, and attribute the join wait
-            // (plus late encode receipts) to the windows involved.
-            if let Some(w) = writer.take() {
-                let handoff = w.finish()?;
-                for receipt in handoff.receipts {
-                    let k = receipt.window_index as usize - windows_base;
-                    windows[k].telemetry.encode_nanos = receipt.encode_nanos;
-                }
-                if let Some(last) = windows.last_mut() {
-                    last.telemetry.persist_nanos += handoff.blocked_nanos;
-                }
-            }
-            Ok(CalibrationResult { windows, resume })
-        })
     }
 
     /// Simulate/weight one window, re-proposing with shrinking kernels
@@ -1478,14 +1279,24 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             grid_chunks += runner.chunk_count(proposals.len() * cfg.n_replicates) as u64;
             // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
             let grid_started = std::time::Instant::now();
-            let candidates = self.simulate_batch(
+            // Counter-mode keys with the `(window, iteration)` prefix
+            // absorbed once.
+            let key = |tag: u64| {
+                StreamKey::new(cfg.seed)
+                    .absorb(tag)
+                    .absorb(window_index as u64)
+                    .absorb(iteration as u64)
+            };
+            let candidates = simulate_grid(
+                self.simulator,
                 runner,
+                cfg.n_replicates,
+                key(TAG_SIM_SEED),
+                key(TAG_BIAS),
                 &proposals,
                 ancestors,
                 observed,
                 window,
-                window_index,
-                iteration,
                 &ws_stats,
             )?;
             grid_nanos += grid_started.elapsed().as_nanos() as u64;
@@ -1502,9 +1313,9 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 
             let adaptive = match &self.adaptive {
                 None => {
-                    return Ok(finalize_window(
+                    return finalize_window(
                         window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                    ))
+                    )
                 }
                 Some(a) => a,
             };
@@ -1514,9 +1325,9 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             if iteration >= adaptive.max_iterations
                 || current_ess >= adaptive.target_ess_fraction * candidates.len() as f64
             {
-                return Ok(finalize_window(
+                return finalize_window(
                     window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                ));
+                );
             }
 
             // Re-propose around the weighted candidates with shrunken
@@ -1555,96 +1366,91 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             stream_setup_nanos += repropose_started.elapsed().as_nanos() as u64;
         }
     }
+}
 
-    /// Run the `(proposal, replicate)` grid: fresh day-0 runs when
-    /// `ancestors` is `None`, checkpoint continuations otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_batch(
-        &self,
-        runner: &ParallelRunner,
-        proposals: &[Proposal],
-        ancestors: Option<&ParticleEnsemble>,
-        observed: &ObservedData,
-        window: TimeWindow,
-        window_index: usize,
-        iteration: usize,
-        ws_stats: &Arc<WorkspaceStats>,
-    ) -> Result<Vec<Particle>, SmcError> {
-        let cfg = &self.config;
-        // Counter-mode keys with the `(window, iteration)` prefix absorbed
-        // once; every worker derives its cell's seeds in O(1). The
-        // simulation counter is the replicate index alone, so common
-        // random numbers across proposals hold by construction.
-        let sim_key = StreamKey::new(cfg.seed)
-            .absorb(TAG_SIM_SEED)
-            .absorb(window_index as u64)
-            .absorb(iteration as u64);
-        let bias_key = StreamKey::new(cfg.seed)
-            .absorb(TAG_BIAS)
-            .absorb(window_index as u64)
-            .absorb(iteration as u64);
-        // One observed-side preparation per batch, shared by all workers.
-        let prepared = PreparedObserved::build(observed, window)?;
-        let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
-            proposals.len(),
-            cfg.n_replicates,
-            || PooledWorkspace::new(Arc::clone(ws_stats)),
-            |ws, i, r| {
-                let prop = &proposals[i];
-                let (sim, scratch) = ws.parts();
-                let sim_seed = sim_key.derive(r as u64);
-                let (trajectory, checkpoint, origin) = match ancestors {
-                    None => {
-                        let (t, ck) =
-                            self.simulator
-                                .run_fresh_in(sim, &prop.theta, sim_seed, window.end)?;
-                        (SharedTrajectory::root(t), ckpool::share(ck), None)
-                    }
-                    Some(anc_set) => {
-                        let anc = &anc_set.particles()[prop.ancestor];
-                        let (tail, ck) = self.simulator.run_from_in(
-                            sim,
-                            &anc.checkpoint,
-                            &prop.theta,
-                            sim_seed,
-                            window.end,
-                        )?;
-                        // O(window), not O(history): the ancestor's past
-                        // — trajectory *and* origin checkpoint — is
-                        // shared structurally, never copied.
-                        (
-                            anc.trajectory.append(tail),
-                            ckpool::share(ck),
-                            Some(Arc::clone(&anc.checkpoint)),
-                        )
-                    }
-                };
-                let bias_seed = bias_key.derive2(i as u64, r as u64);
-                // Incremental likelihood: only this window's data.
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let score_started = std::time::Instant::now();
-                let log_weight = score_window_prepared(
-                    &trajectory,
-                    prop.rho,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
-                ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
-                Ok(Particle {
-                    theta: Arc::clone(&prop.theta),
-                    rho: prop.rho,
-                    seed: sim_seed,
-                    log_weight,
-                    trajectory,
-                    checkpoint,
-                    origin,
-                })
-            },
-        );
-        results.into_iter().collect()
-    }
+/// Run one `(proposal, replicate)` simulation grid and score every cell
+/// against the window: fresh day-0 runs when `ancestors` is `None`,
+/// checkpoint continuations otherwise. Both Algorithm 1 and every
+/// sequential window run through here.
+///
+/// Cell `(i, r)` simulates under `sim_key.derive(r)` and thins under
+/// `bias_key.derive2(i, r)`: each worker derives its cell's seeds in
+/// O(1) from the shared absorbed prefix, and because the simulation
+/// counter is the replicate index alone, replicate `r` shares its seed
+/// across all proposals — common random numbers by layout (Section
+/// V-B).
+#[allow(clippy::too_many_arguments)]
+fn simulate_grid<S: TrajectorySimulator>(
+    simulator: &S,
+    runner: &ParallelRunner,
+    n_replicates: usize,
+    sim_key: StreamKey,
+    bias_key: StreamKey,
+    proposals: &[Proposal],
+    ancestors: Option<&ParticleEnsemble>,
+    observed: &ObservedData,
+    window: TimeWindow,
+    ws_stats: &Arc<WorkspaceStats>,
+) -> Result<Vec<Particle>, SmcError> {
+    // One observed-side preparation per grid, shared by all workers.
+    let prepared = PreparedObserved::build(observed, window)?;
+    let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
+        proposals.len(),
+        n_replicates,
+        || PooledWorkspace::new(Arc::clone(ws_stats)),
+        |ws, i, r| {
+            let prop = &proposals[i];
+            let (sim, scratch) = ws.parts();
+            let sim_seed = sim_key.derive(r as u64);
+            let (trajectory, checkpoint, origin) = match ancestors {
+                None => {
+                    let (t, ck) = simulator.run_fresh_in(sim, &prop.theta, sim_seed, window.end)?;
+                    (SharedTrajectory::root(t), ckpool::share(ck), None)
+                }
+                Some(anc_set) => {
+                    let anc = &anc_set.particles()[prop.ancestor];
+                    let (tail, ck) = simulator.run_from_in(
+                        sim,
+                        &anc.checkpoint,
+                        &prop.theta,
+                        sim_seed,
+                        window.end,
+                    )?;
+                    // O(window), not O(history): the ancestor's past —
+                    // trajectory *and* origin checkpoint — is shared
+                    // structurally, never copied.
+                    (
+                        anc.trajectory.append(tail),
+                        ckpool::share(ck),
+                        Some(Arc::clone(&anc.checkpoint)),
+                    )
+                }
+            };
+            let bias_seed = bias_key.derive2(i as u64, r as u64);
+            // Incremental likelihood: only this window's data.
+            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+            let score_started = std::time::Instant::now();
+            let log_weight = score_window_prepared(
+                &trajectory,
+                prop.rho,
+                bias_seed,
+                observed,
+                &prepared,
+                scratch,
+            )?;
+            ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
+            Ok(Particle {
+                theta: Arc::clone(&prop.theta),
+                rho: prop.rho,
+                seed: sim_seed,
+                log_weight,
+                trajectory,
+                checkpoint,
+                origin,
+            })
+        },
+    );
+    results.into_iter().collect()
 }
 
 #[cfg(test)]

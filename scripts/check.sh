@@ -18,6 +18,13 @@ cargo run -p epilint --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The end-to-end benchmark (e2ebench/) is a workspace of its own (it builds
+# the repository's crates as path dependencies), so the workspace pass
+# above never compiles it; build and unit-test it against the current
+# public API here.
+echo "==> cargo test --manifest-path e2ebench/Cargo.toml --offline --locked -q"
+cargo test --manifest-path e2ebench/Cargo.toml --offline --locked -q
+
 # The vendored pool is a path dependency, not a workspace member, so its
 # unit tests and the concurrency suites (interleaving model, seeded
 # stress, lifecycle edges) need explicit invocations. Miri/TSan variants
@@ -32,8 +39,8 @@ cargo test --test pool_lifecycle -q
 # streaming alike) also cover the multi-worker path locally (CI's
 # fault-injection job sweeps 1/2/4 threads and there is a dedicated
 # streaming job at RAYON_NUM_THREADS=2).
-echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels -q"
-RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels -q
+echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test stream_boundary --test move_kernel_pins -q"
+RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test stream_boundary --test move_kernel_pins -q
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run --quiet

@@ -95,7 +95,7 @@ pub mod prelude {
             RunSnapshot, RunStore, SnapshotWriter,
         },
         prior::{BetaPrior, JitterKernel, Prior, UniformPrior},
-        rejuvenate::{rejuvenate, rejuvenate_with, RejuvenationConfig, RejuvenationStats},
+        rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats},
         resample::{Multinomial, Resampler, Residual, Stratified, Systematic},
         runner::{pool_build_count, ParallelRunner},
         simulator::{
@@ -106,8 +106,6 @@ pub mod prelude {
             SequentialCalibrator, SingleWindowIs, TrajectoryTelemetry, WindowResult,
         },
         stream::StreamingCalibrator,
-        surrogate::SurrogateScreen,
-        tempered::{tempered_single_window, TemperedConfig},
         window::{TimeWindow, WindowPlan},
     };
     pub use crate::stats::{
