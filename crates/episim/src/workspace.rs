@@ -11,12 +11,12 @@
 //! output and are necessarily fresh).
 //!
 //! The workspace is pure reuse: running a trajectory through a warm
-//! workspace is bit-identical to running it through [`Simulation`], which
+//! workspace is bit-identical to running it through
+//! [`Simulation`](crate::runner::Simulation), which
 //! is what lets the parallel runner pool workspaces per worker without
 //! perturbing the deterministic replay guarantees.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use epistats::rng::Xoshiro256PlusPlus;
 
@@ -47,8 +47,6 @@ pub struct SimWorkspace {
     runs: u64,
     /// Total days simulated through this workspace.
     days_simulated: u64,
-    /// Wall-clock nanoseconds spent inside day-advance loops.
-    sim_nanos: u64,
 }
 
 impl Default for SimWorkspace {
@@ -74,7 +72,6 @@ impl SimWorkspace {
             compiled_reuses: 0,
             runs: 0,
             days_simulated: 0,
-            sim_nanos: 0,
         }
     }
 
@@ -180,8 +177,6 @@ impl SimWorkspace {
             end_day.saturating_sub(self.state.day) as usize,
         );
         let n_flows = model.spec.flows.len();
-        // epilint: allow(wall-clock) — telemetry only; never feeds results
-        let started = Instant::now();
         while self.state.day < end_day {
             self.day_buf.clear();
             self.day_buf.resize(n_flows, 0);
@@ -190,7 +185,6 @@ impl SimWorkspace {
             series.push_day(&self.day_buf);
             self.days_simulated += 1;
         }
-        self.sim_nanos += started.elapsed().as_nanos() as u64;
         self.runs += 1;
         let ck = SimCheckpoint::capture(&model.spec, &self.state);
         (series, ck)
@@ -205,12 +199,6 @@ impl SimWorkspace {
     /// Total simulated days across all runs.
     pub fn days_simulated(&self) -> u64 {
         self.days_simulated
-    }
-
-    /// Wall-clock nanoseconds spent inside day-advance loops (telemetry;
-    /// inherently nondeterministic).
-    pub fn sim_nanos(&self) -> u64 {
-        self.sim_nanos
     }
 
     /// Draws issued through the steppers' batched sampling entry points

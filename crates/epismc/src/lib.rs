@@ -73,7 +73,6 @@ pub use observation::{BiasMode, BinomialBias, IdentityBias};
 pub use particle::{Particle, ParticleEnsemble};
 pub use persist::{
     DirStore, Fault, FaultPlan, FaultStore, MemStore, ResumeReport, RunSnapshot, RunStore,
-    SnapshotWriter,
 };
 pub use prior::{BetaPrior, JitterKernel, Prior, UniformPrior};
 pub use rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats};

@@ -23,7 +23,6 @@
 //! has the same structural-sharing telemetry as the original.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use episim::output::{DailySeries, SharedTrajectory};
 
@@ -54,10 +53,15 @@ pub const MAGIC: u32 = 0x4E53_5045;
 ///   (the stream-metadata hash of the observed data slice the window
 ///   was scored against; older records migrate with the 0 = "not
 ///   recorded" sentinel, which skips validation on reopen).
-pub const FORMAT_VERSION: u16 = 5;
+/// - 6: dropped the wall-clock word and every timing and scheduling
+///   telemetry word; the telemetry block is the ten deterministic
+///   counters of `telemetry_words`, so a record is a pure function of
+///   (configuration, seed, observed data, window index). Older records
+///   decode with their timing and scheduling words read and discarded.
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Oldest record version this build can still decode (typed migration:
-/// missing v2 telemetry words default to 0).
+/// words a version lacks default to 0, words v6 dropped are discarded).
 pub const MIN_SUPPORTED_VERSION: u16 = 1;
 
 /// Fixed header length: magic + version + window index + payload length.
@@ -246,37 +250,41 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// The telemetry counters in record order. Adding a field to
-/// [`TrajectoryTelemetry`] means appending here *and* in
-/// [`read_telemetry`] and bumping [`FORMAT_VERSION`].
-fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 21] {
+/// The deterministic telemetry counters in record order — every word a
+/// v6 record persists. Persisting another counter means appending here
+/// *and* in [`telemetry_from_words`] and bumping [`FORMAT_VERSION`]; a
+/// counter that depends on the thread shape must never be added.
+fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 10] {
     [
         t.shared_bytes as u64,
         t.flat_bytes as u64,
         t.unique_segments as u64,
         t.segment_refs as u64,
-        t.pool_builds as u64,
         t.days_simulated,
-        t.sim_nanos,
-        t.workspaces_built,
-        t.workspace_reuses,
         t.unique_checkpoints as u64,
         t.checkpoint_refs as u64,
-        t.score_nanos,
-        t.resample_nanos,
-        t.grid_chunks,
-        t.persist_nanos,
         t.records_written,
-        // v2 additions — must stay at the tail so v1 readers' prefix is
-        // untouched and v1 records migrate by defaulting them to 0.
-        t.stream_setup_nanos,
-        t.serial_nanos,
-        // v3 additions — same append-only rule.
         t.fused_scores,
         t.batched_draws,
-        // v4 addition — same append-only rule.
-        t.encode_nanos,
     ]
+}
+
+/// Inverse of [`telemetry_words`]; the counters a record does not carry
+/// stay 0.
+fn telemetry_from_words(w: [u64; 10]) -> TrajectoryTelemetry {
+    TrajectoryTelemetry {
+        shared_bytes: w[0] as usize,
+        flat_bytes: w[1] as usize,
+        unique_segments: w[2] as usize,
+        segment_refs: w[3] as usize,
+        days_simulated: w[4],
+        unique_checkpoints: w[5] as usize,
+        checkpoint_refs: w[6] as usize,
+        records_written: w[7],
+        fused_scores: w[8],
+        batched_draws: w[9],
+        ..TrajectoryTelemetry::default()
+    }
 }
 
 fn write_telemetry(out: &mut Vec<u8>, t: &TrajectoryTelemetry) {
@@ -411,7 +419,6 @@ pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
     put_f64(&mut payload, snap.log_marginal);
     put_u64(&mut payload, snap.unique_ancestors);
     put_u64(&mut payload, snap.iterations);
-    put_u64(&mut payload, snap.wall_nanos);
     write_telemetry(&mut payload, &snap.telemetry);
     write_ensemble(&mut payload, &snap.posterior);
     // v5: appended after the ensemble so every older field keeps its
@@ -508,44 +515,37 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Read the telemetry block (and, before v6, the wall-clock word in
+/// front of it), keeping only the deterministic counters.
 fn read_telemetry(r: &mut Reader<'_>, version: u16) -> Result<TrajectoryTelemetry, SmcError> {
-    let mut t = TrajectoryTelemetry {
-        shared_bytes: r.u64("telemetry")? as usize,
-        flat_bytes: r.u64("telemetry")? as usize,
-        unique_segments: r.u64("telemetry")? as usize,
-        segment_refs: r.u64("telemetry")? as usize,
-        pool_builds: r.u64("telemetry")? as usize,
-        days_simulated: r.u64("telemetry")?,
-        sim_nanos: r.u64("telemetry")?,
-        workspaces_built: r.u64("telemetry")?,
-        workspace_reuses: r.u64("telemetry")?,
-        unique_checkpoints: r.u64("telemetry")? as usize,
-        checkpoint_refs: r.u64("telemetry")? as usize,
-        score_nanos: r.u64("telemetry")?,
-        resample_nanos: r.u64("telemetry")?,
-        grid_chunks: r.u64("telemetry")?,
-        persist_nanos: r.u64("telemetry")?,
-        records_written: r.u64("telemetry")?,
-        stream_setup_nanos: 0,
-        serial_nanos: 0,
-        fused_scores: 0,
-        batched_draws: 0,
-        encode_nanos: 0,
+    if version >= 6 {
+        let mut words = [0u64; 10];
+        for w in &mut words {
+            *w = r.u64("telemetry")?;
+        }
+        return Ok(telemetry_from_words(words));
+    }
+    // v1–v5: the wall-clock word, then 16 telemetry words; v2 appended
+    // 2 (timings), v3 appended 2 (`fused_scores`, `batched_draws`) and
+    // v4 appended 1 (a timing). Timing and scheduling words are read and
+    // discarded; counters a version lacks stay 0 (a faithful "not
+    // recorded" value).
+    let n_legacy = match version {
+        1 => 16,
+        2 => 18,
+        3 => 20,
+        _ => 21,
     };
-    // Later versions appended words; older records migrate with the
-    // missing counters defaulted to 0 (a faithful "not recorded" value).
-    if version >= 2 {
-        t.stream_setup_nanos = r.u64("telemetry")?;
-        t.serial_nanos = r.u64("telemetry")?;
+    r.u64("wall nanos")?;
+    let mut l = [0u64; 21];
+    for w in &mut l[..n_legacy] {
+        *w = r.u64("telemetry")?;
     }
-    if version >= 3 {
-        t.fused_scores = r.u64("telemetry")?;
-        t.batched_draws = r.u64("telemetry")?;
-    }
-    if version >= 4 {
-        t.encode_nanos = r.u64("telemetry")?;
-    }
-    Ok(t)
+    // Legacy positions: 0–3 footprint, 5 days_simulated, 9–10
+    // checkpoints, 15 records_written, 18–19 fused/batched.
+    Ok(telemetry_from_words([
+        l[0], l[1], l[2], l[3], l[5], l[9], l[10], l[15], l[18], l[19],
+    ]))
 }
 
 fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
@@ -753,7 +753,6 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
     let log_marginal = r.f64("log marginal")?;
     let unique_ancestors = r.u64("unique ancestors")?;
     let iterations = r.u64("iterations")?;
-    let wall_nanos = r.u64("wall nanos")?;
     let telemetry = read_telemetry(&mut r, version)?;
     let posterior = read_ensemble(&mut r)?;
     let observed_fingerprint = if version >= 5 {
@@ -776,16 +775,10 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
         log_marginal,
         unique_ancestors,
         iterations,
-        wall_nanos,
         observed_fingerprint,
         telemetry,
         posterior,
     })
-}
-
-/// Reconstruct the persisted wall time as a [`Duration`].
-pub fn wall_time(snap: &RunSnapshot) -> Duration {
-    Duration::from_nanos(snap.wall_nanos)
 }
 
 #[cfg(test)]

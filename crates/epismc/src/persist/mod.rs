@@ -6,8 +6,11 @@
 //! sequential calibrator can snapshot its complete state — the posterior
 //! particle ensemble (thetas, log weights, structurally shared
 //! trajectories and `SimCheckpoint`s), the window scalars, and the
-//! telemetry — into one versioned, checksummed record (see [`format`])
-//! keyed by window index in a [`RunStore`].
+//! deterministic telemetry counters — into one versioned, checksummed
+//! record (see [`format`](mod@format)) keyed by window index in a
+//! [`RunStore`]. A record holds no clock and nothing that depends on the
+//! thread shape, so it is a pure function of the configuration, seed,
+//! observed data and window index.
 //!
 //! Because every window derives its RNG stream independently from the
 //! master seed (`from_stream(seed, [TAG_WINDOW, widx])`), the posterior
@@ -23,21 +26,20 @@
 //! * [`MemStore`] — in-memory `BTreeMap`, for tests and ephemeral runs.
 //! * [`FaultStore`] — deterministic fault injection wrapping any store.
 //!
-//! Under [`crate::config::PersistMode::Pipelined`] writes go through the
-//! background [`SnapshotWriter`] ([`writer`]), which preserves write
-//! order and the durable-prefix guarantee while taking encode + fsync
-//! off the window loop's critical path.
+//! Under [`crate::config::PersistMode::Pipelined`] writes go through a
+//! background writer thread, which preserves write order and the
+//! durable-prefix guarantee while taking encode + fsync off the window
+//! loop's critical path.
 
 pub mod dir;
 pub mod fault;
 pub mod format;
 pub mod memory;
-pub mod writer;
+pub(crate) mod writer;
 
 pub use dir::DirStore;
 pub use fault::{Fault, FaultPlan, FaultStore};
 pub use memory::MemStore;
-pub use writer::SnapshotWriter;
 
 use crate::config::CalibrationConfig;
 use crate::error::SmcError;
@@ -79,6 +81,12 @@ pub trait RunStore: Send + Sync {
 
 /// Complete calibration state after one window — everything needed to
 /// rebuild the window's result and continue the run bit-identically.
+///
+/// What a record holds of it is deterministic: the same configuration,
+/// seed, observed data and window index give the same record bytes,
+/// whatever the thread count or [`crate::config::PersistMode`].
+/// Wall-clock time is not part of a snapshot, and the
+/// thread-shape-dependent telemetry counters are not encoded.
 #[derive(Clone, Debug)]
 pub struct RunSnapshot {
     /// Master seed of the run (resume validates it matches).
@@ -98,18 +106,15 @@ pub struct RunSnapshot {
     pub unique_ancestors: u64,
     /// Importance-sampling iterations spent.
     pub iterations: u64,
-    /// Wall-clock nanoseconds of the window (diagnostics only).
-    pub wall_nanos: u64,
     /// Fingerprint of the observed data slice this window was scored
     /// against ([`observed_fingerprint`]); `0` means "not recorded"
     /// (records written before format v5). Streaming opens and resumes
     /// validate it, so a snapshot cannot silently continue a run
     /// against different surveillance data.
     pub observed_fingerprint: u64,
-    /// The window's telemetry (`persist_nanos` and `encode_nanos`
-    /// zeroed: both are measured around this very write, so the
-    /// persisted copy cannot contain them — and snapshots stay
-    /// byte-reproducible for golden tests).
+    /// The window's telemetry. Only the deterministic counters persist;
+    /// `pool_builds`, `workspaces_built`, `workspace_reuses` and
+    /// `grid_chunks` are not encoded and decode as 0.
     pub telemetry: TrajectoryTelemetry,
     /// The resampled posterior ensemble, sharing structure intact.
     pub posterior: ParticleEnsemble,

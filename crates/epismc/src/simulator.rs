@@ -24,18 +24,16 @@ use crate::error::SmcError;
 /// per-worker workspaces of a parallel grid. Workers flush into these
 /// atomics when their [`PooledWorkspace`] is dropped at chunk end.
 ///
-/// `built` (and wall-clock `sim_nanos`) depend on the worker count and
-/// scheduling — they are diagnostics only and must never feed anything
-/// that is supposed to be deterministic (e.g. result fingerprints).
-/// `runs` and `days_simulated` are exact for a given grid regardless of
-/// thread count.
+/// `built` depends on the worker count and scheduling — it is a
+/// diagnostic only and must never feed anything that is supposed to be
+/// deterministic (e.g. result fingerprints). `runs`, `days_simulated`,
+/// `fused_scores` and `batched_draws` are exact for a given grid
+/// regardless of thread count.
 #[derive(Debug, Default)]
 pub struct WorkspaceStats {
     built: AtomicU64,
     runs: AtomicU64,
     days_simulated: AtomicU64,
-    sim_nanos: AtomicU64,
-    score_nanos: AtomicU64,
     fused_scores: AtomicU64,
     batched_draws: AtomicU64,
 }
@@ -60,19 +58,6 @@ impl WorkspaceStats {
     /// Total simulated days across all runs.
     pub fn days_simulated(&self) -> u64 {
         self.days_simulated.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds spent inside day-advance loops (summed
-    /// across workers, so it can exceed elapsed time).
-    pub fn sim_nanos(&self) -> u64 {
-        self.sim_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds spent scoring trajectories against
-    /// observed data (summed across workers, so it can exceed elapsed
-    /// time).
-    pub fn score_nanos(&self) -> u64 {
-        self.score_nanos.load(Ordering::Relaxed)
     }
 
     /// Per-source scoring passes that took the fused day-loop path (see
@@ -121,12 +106,6 @@ impl PooledWorkspace {
     pub fn parts(&mut self) -> (&mut SimWorkspace, &mut crate::sis::ScoreScratch) {
         (&mut self.ws, &mut self.score)
     }
-
-    /// Record wall-clock nanoseconds spent scoring (flushed eagerly —
-    /// scoring time is measured per cell, not per workspace lifetime).
-    pub fn add_score_nanos(&self, nanos: u64) {
-        self.stats.score_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
 }
 
 impl Drop for PooledWorkspace {
@@ -135,9 +114,6 @@ impl Drop for PooledWorkspace {
         self.stats
             .days_simulated
             .fetch_add(self.ws.days_simulated(), Ordering::Relaxed);
-        self.stats
-            .sim_nanos
-            .fetch_add(self.ws.sim_nanos(), Ordering::Relaxed);
         self.stats
             .fused_scores
             .fetch_add(self.score.fused_scores(), Ordering::Relaxed);

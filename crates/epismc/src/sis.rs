@@ -90,6 +90,29 @@ impl ObservedSeries {
     }
 }
 
+/// Reject the first value of `values` (observed on days `start_day..`)
+/// that is not a finite, non-negative count, naming data source `source`
+/// (simulator series `series`) and the absolute day.
+pub(crate) fn check_counts(
+    source: usize,
+    series: &str,
+    start_day: u32,
+    values: &[f64],
+) -> Result<(), SmcError> {
+    match values
+        .iter()
+        .enumerate()
+        .find(|(_, v)| !(v.is_finite() && **v >= 0.0))
+    {
+        Some((k, v)) => Err(SmcError::Observation(format!(
+            "source {source} ('{series}'): value {v} on day {} is not a finite \
+             non-negative count",
+            u64::from(start_day) + k as u64
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// One empirical data stream: which simulator output it observes, the
 /// data themselves, and the bias/likelihood pair linking them.
 pub struct DataSource {
@@ -186,114 +209,83 @@ impl Priors {
     }
 }
 
-/// Memory and scheduling telemetry of one calibrated window's posterior
-/// ensemble — the numbers behind the structural-sharing claim: per-window
+/// Counters of one calibrated window: its posterior ensemble's memory
+/// footprint (the numbers behind the structural-sharing claim: per-window
 /// resident trajectory bytes should stay roughly flat as windows
-/// accumulate, while the flat-equivalent bytes grow linearly.
+/// accumulate, while the flat-equivalent bytes grow linearly), its grid's
+/// work, and its durability.
+///
+/// Every word is a count, never a clock. Ten of them are deterministic —
+/// a function of the configuration, seed, observed data and window index
+/// alone — and those are the words a snapshot record persists (see
+/// [`crate::persist::format`]). The other four (`pool_builds`,
+/// `workspaces_built`, `workspace_reuses`, `grid_chunks`) depend on the
+/// thread shape, so they live in memory only and read 0 on a window
+/// restored from a snapshot. Per-phase timing is not kept here; a
+/// caller that needs it measures around the library.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrajectoryTelemetry {
     /// Trajectory bytes actually resident for the posterior ensemble:
     /// every distinct segment counted once, however many particles share
-    /// it.
+    /// it. Persisted.
     pub shared_bytes: usize,
     /// Bytes the same ensemble would hold if every particle owned a flat
     /// copy of its full history (the pre-sharing representation).
+    /// Persisted.
     pub flat_bytes: usize,
-    /// Distinct trajectory segments across the ensemble.
+    /// Distinct trajectory segments across the ensemble. Persisted.
     pub unique_segments: usize,
     /// Total segment references across the ensemble (chain lengths
     /// summed); `segment_refs - unique_segments` references were shared
-    /// rather than copied.
+    /// rather than copied. Persisted.
     pub segment_refs: usize,
     /// Dedicated rayon pools built while computing this window. The
     /// sequential calibrator pre-builds its pool once per run, so this
-    /// should be 0 for every window it emits.
+    /// should be 0 for every window it emits. Not persisted.
     pub pool_builds: usize,
     /// Days simulated across the window's whole `(parameter, replicate)`
     /// grid (all adaptive iterations included). Deterministic for a
-    /// given configuration, regardless of thread count.
+    /// given configuration, regardless of thread count. Persisted.
     pub days_simulated: u64,
-    /// Wall-clock nanoseconds spent inside simulation day loops, summed
-    /// across workers (can exceed the window's elapsed time; inherently
-    /// nondeterministic — diagnostics only).
-    pub sim_nanos: u64,
     /// Per-worker simulation workspaces built for this window (≈ one per
-    /// worker chunk; depends on thread count — diagnostics only, must
-    /// never feed deterministic fingerprints).
+    /// worker chunk; depends on thread count, so it must never feed
+    /// deterministic fingerprints). Not persisted.
     pub workspaces_built: u64,
     /// Simulation runs that reused an already-built workspace instead of
-    /// allocating a fresh one.
+    /// allocating a fresh one. Not persisted.
     pub workspace_reuses: u64,
     /// Distinct `SimCheckpoint` allocations backing the posterior
     /// ensemble's `checkpoint`/`origin` references. Deterministic:
     /// sharing structure depends only on resampling ancestry, never on
-    /// scheduling.
+    /// scheduling. Persisted.
     pub unique_checkpoints: usize,
     /// Total checkpoint references across the posterior ensemble
     /// (`checkpoint` plus `origin`); `checkpoint_refs -
     /// unique_checkpoints` references alias a shared allocation instead
-    /// of deep-copying it.
+    /// of deep-copying it. Persisted.
     pub checkpoint_refs: usize,
-    /// Wall-clock nanoseconds spent scoring trajectories against the
-    /// observed window, summed across workers (fused into the grid pass,
-    /// so this can exceed elapsed time — diagnostics only).
-    pub score_nanos: u64,
-    /// Wall-clock nanoseconds spent generating resampling indices and
-    /// assembling the posterior ensemble (diagnostics only).
-    pub resample_nanos: u64,
     /// Scheduling chunks the window's simulation grids were split into
     /// (summed over adaptive iterations). Depends on worker count and
-    /// chunk policy — diagnostics only, must never feed deterministic
-    /// fingerprints.
+    /// chunk policy, so it must never feed deterministic fingerprints.
+    /// Not persisted.
     pub grid_chunks: u64,
-    /// Wall-clock nanoseconds the window loop was *blocked* on
-    /// durability for this window. Under
-    /// [`crate::config::PersistMode::Sync`] that is the full encode +
-    /// write + retention span; under
-    /// [`crate::config::PersistMode::Pipelined`] it is only the
-    /// backpressure wait at the handoff, and the newest window of each
-    /// persisting call (a batch run, or one stream append) additionally
-    /// absorbs the writer join (whether or not that window was itself
-    /// persisted). Otherwise 0 for unpersisted windows;
-    /// inherently nondeterministic — diagnostics only, zeroed inside
-    /// the persisted record itself so snapshots stay byte-reproducible.
-    pub persist_nanos: u64,
     /// Durability records written for this window (0 or 1 under the
     /// current policies). Deterministic for a given
-    /// [`crate::config::CheckpointPolicy`].
+    /// [`crate::config::CheckpointPolicy`]. Persisted (as 1: a record
+    /// holds the window it was written for).
     pub records_written: u64,
-    /// Wall-clock nanoseconds spent in serial per-window stream/proposal
-    /// setup (prior/jitter sampling and stream-key construction) before
-    /// the parallel grid launches (inherently nondeterministic —
-    /// diagnostics only).
-    pub stream_setup_nanos: u64,
-    /// Wall-clock nanoseconds of the window spent outside *any* parallel
-    /// phase — neither the simulation grid nor the parallelized
-    /// between-window finalize passes (weight exponentiation, posterior
-    /// assembly, telemetry footprint measurement). What remains is the
-    /// genuinely serial fraction (setup, log-sum-exp reduction,
-    /// resampling-index generation) that Amdahl's law bounds strong
-    /// scaling by; inherently nondeterministic — diagnostics only.
-    pub serial_nanos: u64,
     /// Per-source scoring passes that took the fused day-loop path
     /// (per-day bias + likelihood term, no materialized observation
     /// buffers) instead of the materialize-then-score fallback.
     /// Deterministic for a given configuration: fusion eligibility
     /// depends only on the bias/likelihood types, never on scheduling.
+    /// Persisted.
     pub fused_scores: u64,
     /// Binomial/Poisson draws issued through the steppers' batched
     /// sampling entry points (`HazardSampler::draw_many`,
     /// `sample_poisson_batch`) across the window's grid. Deterministic
-    /// for a given configuration and model.
+    /// for a given configuration and model. Persisted.
     pub batched_draws: u64,
-    /// Wall-clock nanoseconds spent encoding (serialization + CRC) this
-    /// window's snapshot record — on the window loop under
-    /// [`crate::config::PersistMode::Sync`], on the background writer
-    /// thread under [`crate::config::PersistMode::Pipelined`] (where it
-    /// overlaps the next window's grid instead of blocking the loop).
-    /// 0 when the window was not persisted; inherently nondeterministic
-    /// — diagnostics only, zeroed inside the persisted record.
-    pub encode_nanos: u64,
 }
 
 impl TrajectoryTelemetry {
@@ -333,38 +325,26 @@ struct WindowAccounting {
     pool_builds: usize,
     /// Scheduling chunks across the window's simulation grids.
     grid_chunks: u64,
-    /// Serial stream/proposal setup span (see
-    /// [`TrajectoryTelemetry::stream_setup_nanos`]).
-    stream_setup_nanos: u64,
-    /// Wall-clock spent inside parallel grid passes; subtracted from the
-    /// window wall to yield [`TrajectoryTelemetry::serial_nanos`].
-    grid_nanos: u64,
 }
 
 /// Measure the posterior ensemble's trajectory and checkpoint footprint
 /// by deduplicating on allocation identity, folding in the window's
-/// workspace-pool counters and phase timings.
+/// workspace-pool counters.
 ///
 /// The ensemble is split into contiguous index shards; each shard walks
 /// its particles' chains in parallel and reports `(flat bytes, segment
 /// id → bytes, checkpoint sharing shard)`. The serial merge is a pure
 /// set/map union plus counter addition — order-independent, so the
-/// result is bit-identical for any thread count or shard split. The
-/// parallel span is accumulated into `parallel_nanos` (it is overlap,
-/// not serial fraction).
+/// result is bit-identical for any thread count or shard split.
 fn measure_telemetry(
     posterior: &ParticleEnsemble,
     runner: &ParallelRunner,
     acct: WindowAccounting,
-    resample_nanos: u64,
     ws_stats: &WorkspaceStats,
-    parallel_nanos: &mut u64,
 ) -> TrajectoryTelemetry {
     let n = posterior.len();
     let shard = runner.chunk_size(n).max(1);
     let n_shards = n.div_ceil(shard);
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let par_started = std::time::Instant::now();
     let parts = runner.run_indexed(n_shards, |s| {
         let lo = s * shard;
         let hi = (lo + shard).min(n);
@@ -385,15 +365,10 @@ fn measure_telemetry(
         );
         (flat_bytes, segment_refs, segments, checkpoints)
     });
-    *parallel_nanos += par_started.elapsed().as_nanos() as u64;
     let mut t = TrajectoryTelemetry {
         pool_builds: acct.pool_builds,
         grid_chunks: acct.grid_chunks,
-        stream_setup_nanos: acct.stream_setup_nanos,
         days_simulated: ws_stats.days_simulated(),
-        sim_nanos: ws_stats.sim_nanos(),
-        score_nanos: ws_stats.score_nanos(),
-        resample_nanos,
         workspaces_built: ws_stats.built(),
         workspace_reuses: ws_stats.reuses(),
         fused_scores: ws_stats.fused_scores(),
@@ -439,14 +414,17 @@ pub struct WindowResult {
     /// Importance-sampling iterations spent on this window (1 unless
     /// adaptive refinement re-proposed; see [`crate::adaptive`]).
     pub iterations: usize,
-    /// Wall-clock time of the window (simulation + weighting + resampling).
+    /// Wall-clock time of the window (simulation + weighting +
+    /// resampling) — the one clock a result carries. Zero on a window
+    /// restored from a snapshot: records hold no clocks.
     pub wall_time: Duration,
-    /// Trajectory-memory and pool telemetry of the posterior ensemble.
+    /// Counters of the window: posterior memory, grid work, durability.
     pub telemetry: TrajectoryTelemetry,
     /// Move statistics of the post-resampling rejuvenation pass; `None`
-    /// under the default [`RejuvenationKernel::UniformJitter`] kernel
-    /// (no pass runs) and on windows restored from a snapshot
-    /// (diagnostics are not persisted).
+    /// under the default [`UniformJitter`] kernel (no pass runs) and on
+    /// windows restored from a snapshot (diagnostics are not persisted).
+    ///
+    /// [`UniformJitter`]: crate::config::RejuvenationKernel::UniformJitter
     pub rejuvenation: Option<crate::rejuvenate::RejuvenationStats>,
 }
 
@@ -499,14 +477,17 @@ pub struct PreparedObserved {
 
 impl PreparedObserved {
     /// Prepare every source's observed window through its likelihood's
-    /// [`Likelihood::prepare_observed`].
+    /// [`Likelihood::prepare_observed`]. Every window is scored through
+    /// here, so this is also where a scored day's value is checked.
     ///
     /// # Errors
     /// Returns [`SmcError::Observation`] if any source's observed series
-    /// does not cover the window.
+    /// does not cover the window, or holds a value on a window day that
+    /// is not a finite, non-negative count (naming the source and the
+    /// absolute day).
     pub fn build(observed: &ObservedData, window: TimeWindow) -> Result<Self, SmcError> {
         let mut per_source = Vec::with_capacity(observed.sources.len());
-        for src in &observed.sources {
+        for (si, src) in observed.sources.iter().enumerate() {
             let obs_w = src
                 .observed
                 .window(window.start, window.end)
@@ -516,6 +497,7 @@ impl PreparedObserved {
                         src.series, window.start, window.end
                     ))
                 })?;
+            check_counts(si, &src.series, window.start, obs_w)?;
             let mut prep = Vec::new();
             src.likelihood.prepare_observed(obs_w, &mut prep);
             assert_eq!(
@@ -677,9 +659,7 @@ pub fn score_window_prepared(
 /// footprint measurement shards across it too. Only the float
 /// *reductions* (log-sum-exp, whose summation order is part of the
 /// contract) and resampling-index generation (a single sequential RNG
-/// stream at O(1) alias work per draw) stay serial — `resample_nanos`
-/// keeps that cost visible, and the parallel spans are subtracted from
-/// `serial_nanos` so the telemetry reports the true Amdahl fraction.
+/// stream at O(1) alias work per draw) stay serial.
 ///
 /// # Errors
 /// [`SmcError::Degenerate`] when every candidate's log weight is `-∞`:
@@ -711,15 +691,9 @@ fn finalize_window(
         )));
     }
     let log_marginal = log_mean_exp(&log_w);
-    let mut parallel_nanos = 0u64;
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let weights_started = std::time::Instant::now();
     let weights = ensemble.normalized_weights_par(runner);
-    parallel_nanos += weights_started.elapsed().as_nanos() as u64;
     let window_ess = ess(&weights);
 
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let resample_started = std::time::Instant::now();
     let idx = config
         .resample
         .resampler()
@@ -729,28 +703,11 @@ fn finalize_window(
     unique.dedup();
     let unique_ancestors = unique.len();
 
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let build_started = std::time::Instant::now();
     let mut posterior = ParticleEnsemble::from_vec(
         runner.run_indexed(idx.len(), |j| ensemble.particles()[idx[j]].clone()),
     );
-    parallel_nanos += build_started.elapsed().as_nanos() as u64;
     posterior.set_uniform_weights();
-    let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry = measure_telemetry(
-        &posterior,
-        runner,
-        acct,
-        resample_nanos,
-        ws_stats,
-        &mut parallel_nanos,
-    );
-    // Everything the window spent outside its parallel phases — grid
-    // passes and the parallelized finalize spans above — is the serial
-    // fraction strong scaling is bounded by.
-    telemetry.serial_nanos = (started.elapsed().as_nanos() as u64)
-        .saturating_sub(acct.grid_nanos)
-        .saturating_sub(parallel_nanos);
+    let telemetry = measure_telemetry(&posterior, runner, acct, ws_stats);
 
     Ok(WindowResult {
         window,
@@ -843,7 +800,7 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
                 self.simulator.theta_dim()
             )));
         }
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+        // epilint: allow(wall-clock) — reported as `WindowResult::wall_time` only; never feeds simulation state
         let started = std::time::Instant::now();
         let cfg = &self.config;
         let mut rng = Xoshiro256PlusPlus::new(cfg.seed);
@@ -857,12 +814,9 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
                 rho: priors.rho.sample(&mut rng),
             })
             .collect();
-        let stream_setup_nanos = started.elapsed().as_nanos() as u64;
 
         let runner = &self.runner;
         let ws_stats = Arc::new(WorkspaceStats::default());
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let grid_started = std::time::Instant::now();
         // Un-windowed keys: the seed absorbs only the stream tag.
         let candidates = simulate_grid(
             self.simulator,
@@ -876,15 +830,12 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             window,
             &ws_stats,
         )?;
-        let grid_nanos = grid_started.elapsed().as_nanos() as u64;
         // The driver's pre-built pool is charged to the first window that
         // uses it — later runs on the same driver report 0.
         let acct = WindowAccounting {
             iterations: 1,
             pool_builds: runner.take_build_charge(),
             grid_chunks: runner.chunk_count(cfg.n_params * cfg.n_replicates) as u64,
-            stream_setup_nanos,
-            grid_nanos,
         };
         finalize_window(
             window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
@@ -1132,7 +1083,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             }
             if let Some(mut persister) = persister {
                 state.park(self, observed, &mut persister)?;
-                state.finish(persister)?;
+                persister.finish()?;
             }
             Ok(state.into_result())
         })
@@ -1192,8 +1143,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         widx: usize,
         prev: Option<&ParticleEnsemble>,
     ) -> Result<WindowResult, SmcError> {
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let setup_started = std::time::Instant::now();
         let mut rng = Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
         let proposals: Vec<Proposal> = (0..self.config.n_params)
             .map(|_| match prev {
@@ -1220,17 +1169,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 }
             })
             .collect();
-        let setup_nanos = setup_started.elapsed().as_nanos() as u64;
-        let mut result = self.adaptive_window(
-            runner,
-            observed,
-            window,
-            widx,
-            prev,
-            proposals,
-            rng,
-            setup_nanos,
-        )?;
+        let mut result =
+            self.adaptive_window(runner, observed, window, widx, prev, proposals, rng)?;
         if let crate::config::RejuvenationKernel::Pmmh(pmmh) = &self.config.rejuvenation {
             let stats = crate::rejuvenate::pmmh_moves(
                 self.simulator,
@@ -1264,9 +1204,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         ancestors: Option<&ParticleEnsemble>,
         mut proposals: Vec<Proposal>,
         mut rng: Xoshiro256PlusPlus,
-        mut stream_setup_nanos: u64,
     ) -> Result<WindowResult, SmcError> {
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+        // epilint: allow(wall-clock) — reported as `WindowResult::wall_time` only; never feeds simulation state
         let started = std::time::Instant::now();
         let cfg = &self.config;
         // One stats sink for all iterations of this window: adaptive
@@ -1274,11 +1213,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         let ws_stats = Arc::new(WorkspaceStats::default());
         let mut iteration = 0usize;
         let mut grid_chunks = 0u64;
-        let mut grid_nanos = 0u64;
         loop {
             grid_chunks += runner.chunk_count(proposals.len() * cfg.n_replicates) as u64;
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let grid_started = std::time::Instant::now();
             // Counter-mode keys with the `(window, iteration)` prefix
             // absorbed once.
             let key = |tag: u64| {
@@ -1299,7 +1235,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 window,
                 &ws_stats,
             )?;
-            grid_nanos += grid_started.elapsed().as_nanos() as u64;
             iteration += 1;
             // The calibration-level pool build is never re-charged to a
             // window: `run` pre-builds the runner, so windows report 0.
@@ -1307,8 +1242,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 iterations: iteration,
                 pool_builds: 0,
                 grid_chunks,
-                stream_setup_nanos,
-                grid_nanos,
             };
 
             let adaptive = match &self.adaptive {
@@ -1332,8 +1265,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 
             // Re-propose around the weighted candidates with shrunken
             // kernels, inheriting each chosen candidate's ancestor.
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let repropose_started = std::time::Instant::now();
             let decay = adaptive.jitter_decay.powi(iteration as i32);
             let shrink = |k: &JitterKernel| JitterKernel {
                 down: (k.down * decay).max(1e-6),
@@ -1363,7 +1294,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                     }
                 })
                 .collect();
-            stream_setup_nanos += repropose_started.elapsed().as_nanos() as u64;
         }
     }
 }
@@ -1428,8 +1358,6 @@ fn simulate_grid<S: TrajectorySimulator>(
             };
             let bias_seed = bias_key.derive2(i as u64, r as u64);
             // Incremental likelihood: only this window's data.
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let score_started = std::time::Instant::now();
             let log_weight = score_window_prepared(
                 &trajectory,
                 prop.rho,
@@ -1438,7 +1366,6 @@ fn simulate_grid<S: TrajectorySimulator>(
                 &prepared,
                 scratch,
             )?;
-            ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
             Ok(Particle {
                 theta: Arc::clone(&prop.theta),
                 rho: prop.rho,

@@ -4,8 +4,7 @@
 //! window loop, `WindowLoop`: the window history, the next window
 //! index, the newest durable index, the resume report, and the hoisted
 //! [`ParallelRunner`]. Each step computes a window, persists it when the
-//! [`CheckpointPolicy`] cadence selects it, and patches the writer's
-//! encode receipts back into the telemetry. A batch
+//! [`CheckpointPolicy`] cadence selects it. A batch
 //! [`SequentialCalibrator::run_persisted`] is a fresh loop over the
 //! plan's windows that then parks the last one;
 //! [`SequentialCalibrator::resume_from`] reopens the loop from the store
@@ -52,19 +51,23 @@
 //! [`StreamingCalibrator::open`] to continue from the newest snapshot.
 //! Malformed arrivals (non-finite or negative values, gaps, overlaps,
 //! and windows that do not start after the newest one) are rejected
-//! before anything is appended, and do not poison the handle.
+//! before anything is appended, and do not poison the handle. A bad
+//! value already in the data handed to [`StreamingCalibrator::open`]
+//! is caught where every window is scored, and fail-stops like any
+//! other window error.
 
 use std::time::Duration;
 
 use crate::config::CheckpointPolicy;
 use crate::error::SmcError;
 use crate::particle::ParticleEnsemble;
-use crate::persist::writer::{Handoff, Persister};
+use crate::persist::writer::Persister;
 use crate::persist::{self, ResumeReport, RunSnapshot, RunStore};
 use crate::runner::ParallelRunner;
 use crate::simulator::TrajectorySimulator;
 use crate::sis::{
-    CalibrationResult, ObservedData, ObservedSeries, Priors, SequentialCalibrator, WindowResult,
+    check_counts, CalibrationResult, ObservedData, ObservedSeries, Priors, SequentialCalibrator,
+    WindowResult,
 };
 use crate::window::TimeWindow;
 
@@ -159,6 +162,8 @@ impl WindowLoop {
                 }
             }
         }
+        // A record holds no clocks and none of the thread-shape-dependent
+        // counters, so the restored window reports zero for those.
         let widx = snap.window_index as usize;
         state.history.push(WindowResult {
             window: snap.window,
@@ -168,7 +173,7 @@ impl WindowLoop {
             log_marginal: snap.log_marginal,
             unique_ancestors: snap.unique_ancestors as usize,
             iterations: snap.iterations as usize,
-            wall_time: Duration::from_nanos(snap.wall_nanos),
+            wall_time: Duration::ZERO,
             telemetry: snap.telemetry,
             rejuvenation: None,
         });
@@ -224,11 +229,7 @@ impl WindowLoop {
         }
     }
 
-    /// Persist the newest window unless it already is. The snapshot
-    /// carries the telemetry with `persist_nanos` and `encode_nanos`
-    /// still 0: both are measured around (or after) the write itself,
-    /// and zeroing them keeps records byte-reproducible across runs and
-    /// modes.
+    /// Persist the newest window unless it already is.
     pub(crate) fn park<S: TrajectorySimulator>(
         &mut self,
         calibrator: &SequentialCalibrator<'_, S>,
@@ -252,40 +253,14 @@ impl WindowLoop {
             log_marginal: result.log_marginal,
             unique_ancestors: result.unique_ancestors as u64,
             iterations: result.iterations as u64,
-            wall_nanos: result.wall_time.as_nanos() as u64,
             observed_fingerprint: persist::observed_fingerprint(observed, result.window)
                 .unwrap_or(0),
             telemetry: result.telemetry,
             posterior: result.posterior.clone(),
         };
-        let handoff = persister.submit(snap)?;
-        result.telemetry.persist_nanos = handoff.blocked_nanos;
-        self.absorb_receipts(&handoff);
+        persister.submit(snap)?;
         self.last_durable = Some(widx);
         Ok(())
-    }
-
-    /// Wait for `persister` to make every submitted window durable,
-    /// charging the join wait to the newest window.
-    pub(crate) fn finish(&mut self, persister: Persister<'_>) -> Result<(), SmcError> {
-        let handoff = persister.finish()?;
-        self.absorb_receipts(&handoff);
-        if let Some(last) = self.history.last_mut() {
-            last.telemetry.persist_nanos += handoff.blocked_nanos;
-        }
-        Ok(())
-    }
-
-    /// Patch encode receipts (keyed by plan window index) into the
-    /// telemetry of the windows they belong to.
-    fn absorb_receipts(&mut self, handoff: &Handoff) {
-        let base = self.next - self.history.len();
-        for receipt in &handoff.receipts {
-            let k = (receipt.window_index as usize).checked_sub(base);
-            if let Some(result) = k.and_then(|k| self.history.get_mut(k)) {
-                result.telemetry.encode_nanos = receipt.encode_nanos;
-            }
-        }
     }
 
     /// The windows seen, as a calibration result.
@@ -333,7 +308,11 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     ///
     /// `observed` must already hold any days *before* the first window
     /// this stream will advance (e.g. the warm-up days a batch plan
-    /// would skip); appended series extend it contiguously.
+    /// would skip); appended series extend it contiguously. Held values
+    /// are checked when a window scores them, as in a batch run: a
+    /// non-finite or negative value on a scored day is
+    /// [`SmcError::Observation`] from that advance, which fail-stops the
+    /// handle.
     ///
     /// # Errors
     /// [`SmcError::Config`] for an invalid policy or dimension mismatch,
@@ -424,19 +403,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
                 "cannot ingest an empty observed series".into(),
             ));
         }
-        let bad = series
-            .values
-            .iter()
-            .enumerate()
-            .find(|(_, v)| !(v.is_finite() && **v >= 0.0));
-        if let Some((k, v)) = bad {
-            return Err(SmcError::Observation(format!(
-                "source {source} ('{}'): value {v} on day {} is not a finite \
-                 non-negative count",
-                target.series,
-                u64::from(series.start_day) + k as u64
-            )));
-        }
+        check_counts(source, &target.series, series.start_day, &series.values)?;
         match target.observed.end_day() {
             Some(end) if series.start_day != end + 1 => {
                 return Err(SmcError::Observation(format!(
@@ -548,7 +515,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
                 Some(w) => state.advance(calibrator, priors, observed, w, Some(&mut persister))?,
                 None => state.park(calibrator, observed, &mut persister)?,
             }
-            state.finish(persister)
+            persister.finish()
         });
         if outcome.is_err() {
             self.failed = true;

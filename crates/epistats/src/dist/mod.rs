@@ -1,7 +1,7 @@
 //! Probability distributions: sampling, densities, CDFs and quantiles.
 //!
 //! All samplers draw from the crate's serializable
-//! [`Xoshiro256PlusPlus`](crate::rng::Xoshiro256PlusPlus) generator so a
+//! [`Xoshiro256PlusPlus`] generator so a
 //! checkpointed simulation resumes with an identical random future. Every
 //! sampler is *exact* (no normal approximations to discrete laws): the
 //! binomial uses BINV inversion plus BTPE accept/reject (Kachitvichyanukul

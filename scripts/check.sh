@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p epilint"
 cargo run -p epilint --quiet
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

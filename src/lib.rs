@@ -92,7 +92,7 @@ pub mod prelude {
         particle::{Particle, ParticleEnsemble},
         persist::{
             run_fingerprint, DirStore, Fault, FaultPlan, FaultStore, MemStore, ResumeReport,
-            RunSnapshot, RunStore, SnapshotWriter,
+            RunSnapshot, RunStore,
         },
         prior::{BetaPrior, JitterKernel, Prior, UniformPrior},
         rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats},

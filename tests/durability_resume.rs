@@ -45,8 +45,7 @@ fn calibrator(
 /// Bit-level equality of everything a window result determines:
 /// scalars by bit pattern, every particle field (including trajectories,
 /// checkpoints, and origins), and the deterministic telemetry fields.
-/// Wall-clock telemetry (`*_nanos`) and scheduling diagnostics are
-/// excluded by design.
+/// Wall time and scheduling diagnostics are excluded by design.
 fn assert_windows_equal(got: &WindowResult, want: &WindowResult, ctx: &str) {
     assert_eq!(got.window, want.window, "{ctx}: window");
     assert_eq!(got.ess.to_bits(), want.ess.to_bits(), "{ctx}: ess");

@@ -90,12 +90,9 @@ fn paper_scale_window_completes_with_exact_accounting() {
     // Peak memory is observability, not a gate (machine-dependent):
     // recorded in the scheduled job's log for trend-watching.
     eprintln!(
-        "paper-scale smoke: days_simulated={} unique_checkpoints={} \
-         stream_setup_nanos={} serial_nanos={} peak_rss_kb={:?}",
+        "paper-scale smoke: days_simulated={} unique_checkpoints={} peak_rss_kb={:?}",
         t.days_simulated,
         t.unique_checkpoints,
-        t.stream_setup_nanos,
-        t.serial_nanos,
         peak_rss_kb()
     );
 }

@@ -1,8 +1,9 @@
 //! Byte-format pinning for the durable run store: a golden fixture locks
-//! the current (v5) record encoding (any accidental change to the wire
+//! the current (v6) record encoding (any accidental change to the wire
 //! format fails here before it eats someone's checkpoints), retained
-//! v1/v2/v3/v4 fixtures prove the typed migration path (older records decode
-//! with the appended telemetry words defaulted), a version-bump test proves
+//! v1–v5 fixtures prove the typed migration path (older records decode
+//! with every deterministic word bit-exact, their timing and scheduling
+//! words discarded, and re-encode as v6), a version-bump test proves
 //! records from a future format are rejected as [`SmcError::UnsupportedFormat`],
 //! and property tests drive arbitrary ensembles through
 //! encode → decode → encode bit-exactly while arbitrary single-byte
@@ -53,7 +54,8 @@ fn series(start: u32, cases: &[u64], deaths: &[u64]) -> DailySeries {
 /// A hand-built snapshot exercising every corner of the format: pooled
 /// (shared) thetas and checkpoints, a trajectory chain with two branches
 /// off one root segment, an origin checkpoint, a dead particle
-/// (`-inf` log weight), and every telemetry word nonzero-or-pinned.
+/// (`-inf` log weight), and every telemetry word nonzero — including the
+/// four in-memory-only counters a record must not carry.
 fn golden_snapshot() -> RunSnapshot {
     let root = SharedTrajectory::root(series(0, &[5, 8, 13], &[0, 1, 1]));
     let branch_a = root.append(series(3, &[21, 34], &[2, 3]));
@@ -99,7 +101,6 @@ fn golden_snapshot() -> RunSnapshot {
         log_marginal: -102.75,
         unique_ancestors: 17,
         iterations: 1,
-        wall_nanos: 123_456_789,
         observed_fingerprint: 0x0B5E_4FD5_0BF1_4CED,
         telemetry: TrajectoryTelemetry {
             shared_bytes: 100,
@@ -108,44 +109,100 @@ fn golden_snapshot() -> RunSnapshot {
             segment_refs: 5,
             pool_builds: 1,
             days_simulated: 28,
-            sim_nanos: 0,
             workspaces_built: 3,
             workspace_reuses: 9,
             unique_checkpoints: 3,
             checkpoint_refs: 5,
-            score_nanos: 0,
-            resample_nanos: 0,
             grid_chunks: 4,
-            persist_nanos: 0,
             records_written: 1,
-            stream_setup_nanos: 314,
-            serial_nanos: 2_718,
             fused_scores: 96,
             batched_draws: 1_722,
-            encode_nanos: 0,
         },
         posterior: ParticleEnsemble::from_vec(particles),
     }
 }
 
+/// The golden snapshot's telemetry as a record holds it: the
+/// thread-shape-dependent counters are not persisted and decode as 0.
+fn persisted_telemetry() -> TrajectoryTelemetry {
+    TrajectoryTelemetry {
+        pool_builds: 0,
+        workspaces_built: 0,
+        workspace_reuses: 0,
+        grid_chunks: 0,
+        ..golden_snapshot().telemetry
+    }
+}
+
+fn golden_file(version: u16) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/run_record_v{version}.bin"))
+}
+
 fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v5.bin")
+    golden_file(format::FORMAT_VERSION)
 }
 
-fn golden_v1_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v1.bin")
+fn record_version(raw: &[u8]) -> u16 {
+    u16::from_le_bytes([raw[4], raw[5]])
 }
 
-fn golden_v2_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v2.bin")
+/// Everything in `snap` matches the golden snapshot bit for bit, with
+/// the given persisted telemetry and observed fingerprint; pooled
+/// allocations come back *shared*, not merely equal.
+fn assert_matches_golden(snap: &RunSnapshot, telemetry: TrajectoryTelemetry, observed_fp: u64) {
+    let want = golden_snapshot();
+    assert_eq!(snap.seed, want.seed);
+    assert_eq!(snap.fingerprint, want.fingerprint);
+    assert_eq!(snap.window_index, want.window_index);
+    assert_eq!(snap.window, want.window);
+    assert_eq!(snap.ess.to_bits(), want.ess.to_bits());
+    assert_eq!(snap.log_marginal.to_bits(), want.log_marginal.to_bits());
+    assert_eq!(snap.unique_ancestors, want.unique_ancestors);
+    assert_eq!(snap.iterations, want.iterations);
+    assert_eq!(snap.observed_fingerprint, observed_fp);
+    assert_eq!(snap.telemetry, telemetry);
+
+    let (p, q) = (snap.posterior.particles(), want.posterior.particles());
+    assert_eq!(p.len(), q.len());
+    for (a, b) in p.iter().zip(q) {
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.theta), bits(&b.theta));
+        assert_eq!(a.rho.to_bits(), b.rho.to_bits());
+        assert_eq!(a.seed, b.seed);
+        assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
+        assert!(a.trajectory == b.trajectory);
+        assert!(*a.checkpoint == *b.checkpoint);
+        assert_eq!(a.origin.as_deref(), b.origin.as_deref());
+    }
+    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
+    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
+    assert!(Arc::ptr_eq(
+        p[0].origin.as_ref().unwrap(),
+        p[1].origin.as_ref().unwrap()
+    ));
+    // Both branches hang off one root segment.
+    assert_eq!(
+        p[0].trajectory.segments().first().map(|(id, _)| *id),
+        p[1].trajectory.segments().first().map(|(id, _)| *id)
+    );
 }
 
-fn golden_v3_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v3.bin")
-}
+/// The retained fixture of `version` decodes with every deterministic
+/// word it carries bit-exact (`telemetry` and `observed_fp` say what it
+/// carries), and re-encoding it gives a v6 record that decodes equal and
+/// re-encodes canonically. Returns the upgraded bytes.
+fn assert_migrates(version: u16, telemetry: TrajectoryTelemetry, observed_fp: u64) -> Vec<u8> {
+    let raw = std::fs::read(golden_file(version)).unwrap();
+    assert_eq!(record_version(&raw), version, "fixture is v{version}");
+    let snap = format::decode_record(&raw).unwrap();
+    assert_matches_golden(&snap, telemetry, observed_fp);
 
-fn golden_v4_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v4.bin")
+    let upgraded = format::encode_record(&snap);
+    assert_eq!(record_version(&upgraded), format::FORMAT_VERSION);
+    let again = format::decode_record(&upgraded).unwrap();
+    assert_matches_golden(&again, telemetry, observed_fp);
+    assert_eq!(format::encode_record(&again), upgraded);
+    upgraded
 }
 
 #[test]
@@ -160,7 +217,7 @@ fn golden_record_bytes_are_pinned() {
         )
     });
     if bytes != want {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_record_v5.actual.bin");
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_record.actual.bin");
         std::fs::write(&out, &bytes).unwrap();
         panic!(
             "serialized record diverged from the golden fixture (got {} bytes, want {}); \
@@ -176,32 +233,11 @@ fn golden_record_bytes_are_pinned() {
 #[test]
 fn golden_record_decodes_with_sharing_intact() {
     let raw = std::fs::read(golden_path()).unwrap();
+    assert_eq!(record_version(&raw), format::FORMAT_VERSION);
     let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window_index, 2);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    assert_eq!(snap.ess.to_bits(), 31.5f64.to_bits());
-    assert_eq!(snap.log_marginal.to_bits(), (-102.75f64).to_bits());
-    assert_eq!(snap.wall_nanos, 123_456_789);
-    assert_eq!(snap.telemetry, golden_snapshot().telemetry);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    // Pooled allocations come back *shared*, not merely equal.
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-    assert!(Arc::ptr_eq(
-        p[0].origin.as_ref().unwrap(),
-        p[1].origin.as_ref().unwrap()
-    ));
-    // Both branches hang off one root segment.
-    assert_eq!(
-        p[0].trajectory.segments().first().map(|(id, _)| *id),
-        p[1].trajectory.segments().first().map(|(id, _)| *id)
-    );
-    assert_eq!(p[2].log_weight, f64::NEG_INFINITY);
-    assert_eq!(p[2].origin, None);
+    assert_matches_golden(&snap, persisted_telemetry(), 0x0B5E_4FD5_0BF1_4CED);
+    assert_eq!(snap.posterior.particles()[2].log_weight, f64::NEG_INFINITY);
+    assert_eq!(snap.posterior.particles()[2].origin, None);
 
     // Canonical encoding: decode → encode reproduces the fixture bytes.
     assert_eq!(format::encode_record(&snap), raw);
@@ -209,121 +245,46 @@ fn golden_record_decodes_with_sharing_intact() {
 
 #[test]
 fn v1_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v1 fixture (written before `stream_setup_nanos` /
-    // `serial_nanos` existed) must still decode: everything it carried
-    // comes back bit-exactly, and all later appended words default to 0.
-    let raw = std::fs::read(golden_v1_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 1, "fixture is v1");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.stream_setup_nanos = 0;
-    want.serial_nanos = 0;
-    want.fused_scores = 0;
-    want.batched_draws = 0;
-    assert_eq!(snap.telemetry, want);
-
-    // Sharing survives the migration too.
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    // Re-encoding a migrated snapshot upgrades it to the current version
-    // (extra zero words, current version stamp) — a decode → encode →
-    // decode trip is lossless.
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
-    assert_eq!(again.posterior.len(), snap.posterior.len());
+    // v1 predates `fused_scores` / `batched_draws`: both decode as 0.
+    let want = TrajectoryTelemetry {
+        fused_scores: 0,
+        batched_draws: 0,
+        ..persisted_telemetry()
+    };
+    assert_migrates(1, want, 0);
 }
 
 #[test]
 fn v2_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v2 fixture (written before `fused_scores` /
-    // `batched_draws` existed) decodes with exactly those two words
-    // defaulted to 0 and everything else bit-exact.
-    let raw = std::fs::read(golden_v2_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 2, "fixture is v2");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.fused_scores = 0;
-    want.batched_draws = 0;
-    assert_eq!(snap.telemetry, want);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
+    // v2 appended two timing words (discarded) but still predates
+    // `fused_scores` / `batched_draws`.
+    let want = TrajectoryTelemetry {
+        fused_scores: 0,
+        batched_draws: 0,
+        ..persisted_telemetry()
+    };
+    assert_migrates(2, want, 0);
 }
 
 #[test]
 fn v3_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v3 fixture (written before the pipelined-persistence
-    // split of `persist_nanos` into encode + blocking wait) decodes with
-    // exactly `encode_nanos` defaulted to 0 and everything else bit-exact.
-    let raw = std::fs::read(golden_v3_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 3, "fixture is v3");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.encode_nanos = 0;
-    assert_eq!(snap.telemetry, want);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
+    // v3 carries every counter v6 persists.
+    assert_migrates(3, persisted_telemetry(), 0);
 }
 
 #[test]
 fn v4_record_migrates_with_observed_fingerprint_defaulted() {
-    // The retained v4 fixture (written before the observed-series
-    // fingerprint existed) decodes with `observed_fingerprint` landing
-    // on 0 — the "not recorded" sentinel that skips the resume-time
-    // observed-data check — and everything else bit-exact.
-    let raw = std::fs::read(golden_v4_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 4, "fixture is v4");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    assert_eq!(
-        snap.observed_fingerprint, 0,
-        "pre-v5 records carry no fingerprint"
-    );
-    assert_eq!(snap.telemetry, golden_snapshot().telemetry);
+    // v4 predates the observed-series fingerprint: it lands on 0, the
+    // "not recorded" sentinel that skips the resume-time check.
+    assert_migrates(4, persisted_telemetry(), 0);
+}
 
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    // Re-encoding upgrades to v5 (appended fingerprint word, current
-    // version stamp) and the trip stays lossless.
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.observed_fingerprint, 0);
-    assert_eq!(again.telemetry, snap.telemetry);
+#[test]
+fn v5_record_migrates_to_the_golden_v6_bytes() {
+    // v5 carries every deterministic word v6 does; dropping its clock
+    // and scheduling words yields exactly the golden v6 record.
+    let upgraded = assert_migrates(5, persisted_telemetry(), 0x0B5E_4FD5_0BF1_4CED);
+    assert_eq!(upgraded, std::fs::read(golden_path()).unwrap());
 }
 
 #[test]
@@ -355,7 +316,7 @@ fn short_and_empty_records_are_corrupt_not_panics() {
 }
 
 #[test]
-#[ignore = "regenerates tests/golden/run_record_v5.bin; run only after an intentional format change (with a FORMAT_VERSION bump)"]
+#[ignore = "regenerates the current-version golden record; run only after an intentional format change (with a FORMAT_VERSION bump)"]
 fn regenerate_golden_fixture() {
     let path = golden_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -411,7 +372,6 @@ fn arbitrary_snapshot(parts: Vec<(f64, f64, u64, f64, Vec<u64>)>) -> RunSnapshot
         log_marginal: -8.25,
         unique_ancestors: 2,
         iterations: 1,
-        wall_nanos: 0,
         observed_fingerprint: 0xF00D,
         telemetry: TrajectoryTelemetry::default(),
         posterior: ParticleEnsemble::from_vec(particles),

@@ -2,9 +2,11 @@
 //! negative values, gaps, overlaps) are rejected at the stream boundary
 //! with a typed error, append nothing, persist nothing, and leave the
 //! handle usable — the next valid append still matches batch bit for
-//! bit. A window no candidate trajectory is compatible with (every log
-//! weight `-∞`) is a typed error in batch and fail-stops a stream with
-//! nothing persisted for it.
+//! bit. The same values already in the data — handed to a batch run,
+//! to Algorithm 1, or held by a stream when it opens — are a typed
+//! error as soon as a window scores them. A window no candidate
+//! trajectory is compatible with (every log weight `-∞`) is a typed
+//! error in batch and fail-stops a stream with nothing persisted for it.
 
 use std::sync::Arc;
 
@@ -154,7 +156,60 @@ fn a_window_with_an_infinite_observation_is_a_typed_error_in_batch() {
     let err = calibrator(&simulator)
         .run(&Priors::paper(), &ObservedData::cases_only(cases), &plan)
         .unwrap_err();
-    assert!(matches!(err, SmcError::Degenerate(_)), "{err}");
+    assert!(matches!(err, SmcError::Observation(_)), "{err}");
+}
+
+/// The error a scored day's bad value must produce: typed, naming the
+/// source and the absolute day.
+fn assert_names_bad_day(err: &SmcError, day: u32, ctx: &str) {
+    assert!(matches!(err, SmcError::Observation(_)), "{ctx}: {err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("source 0") && msg.contains(&format!("day {day}")),
+        "{ctx}: error must name the source and day: {msg}"
+    );
+}
+
+#[test]
+fn bad_values_already_in_the_data_are_rejected_when_scored() {
+    let (truth, simulator) = setup();
+    let window = TimeWindow::new(20, 33);
+    for (name, bad) in [("NaN", f64::NAN), ("-1", -1.0)] {
+        let mut cases = truth.observed_cases.clone();
+        cases[24] = bad; // day 25
+        let observed = || ObservedData::cases_only(cases.clone());
+
+        // A batch run.
+        let plan = WindowPlan::new(vec![window]);
+        let err = calibrator(&simulator)
+            .run(&Priors::paper(), &observed(), &plan)
+            .unwrap_err();
+        assert_names_bad_day(&err, 25, &format!("{name} batch run"));
+
+        // Algorithm 1.
+        let cfg = calibrator(&simulator).config().clone();
+        let err = SingleWindowIs::new(&simulator, cfg)
+            .run(&Priors::paper(), &observed(), window)
+            .unwrap_err();
+        assert_names_bad_day(&err, 25, &format!("{name} SingleWindowIs"));
+
+        // A stream opened over held data that already covers the window.
+        let store = MemStore::new();
+        let mut stream = StreamingCalibrator::open(
+            calibrator(&simulator),
+            Priors::paper(),
+            observed(),
+            &store,
+            CheckpointPolicy::every_window(),
+        )
+        .unwrap();
+        let err = stream.advance_window(window).unwrap_err();
+        assert_names_bad_day(&err, 25, &format!("{name} held stream"));
+        assert!(
+            store.list().unwrap().is_empty(),
+            "{name}: nothing persisted"
+        );
+    }
 }
 
 /// A likelihood no simulated trajectory can satisfy.
@@ -168,6 +223,24 @@ impl Likelihood for Incompatible {
     fn name(&self) -> &'static str {
         "incompatible"
     }
+}
+
+#[test]
+fn a_collapsed_window_is_a_typed_error_in_batch() {
+    let (truth, simulator) = setup();
+    let observed = ObservedData {
+        sources: vec![DataSource {
+            series: "infections".into(),
+            observed: ObservedSeries::from_day_one(truth.observed_cases.clone()),
+            bias: Arc::new(IdentityBias),
+            likelihood: Arc::new(Incompatible),
+        }],
+    };
+    let plan = WindowPlan::new(vec![TimeWindow::new(20, 33)]);
+    let err = calibrator(&simulator)
+        .run(&Priors::paper(), &observed, &plan)
+        .unwrap_err();
+    assert!(matches!(err, SmcError::Degenerate(_)), "{err}");
 }
 
 #[test]
